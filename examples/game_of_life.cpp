@@ -3,8 +3,9 @@
 //     (neighbour count) and thresholding — verifies a glider's period-4
 //     diagonal walk;
 //  2. the paper's throughput benchmark: the arithmetic 8-point surrogate,
-//     run with the folded multicore executor (see DESIGN.md for why the
-//     exact rule cannot be temporally folded).
+//     run with the folded multicore executor (see
+//     docs/ARCHITECTURE.md#the-game-of-life-surrogate for why the exact
+//     rule cannot be temporally folded).
 //
 //   $ ./game_of_life [n] [steps]
 #include <cstdlib>

@@ -14,10 +14,6 @@ Family conventions:
   * fig8_*    — GFLOP/s vs problem size (log-x size sweep, one line/method);
   * fig9_*    — GFLOP/s per method on the multicore configuration (bars);
   * fig10_*   — GFLOP/s vs cores (one line per method, linear axes);
-  * fig_tiletree — flat (levels 1) vs tile-tree (levels 3) GFLOP/s over
-                the nz depth sweep (bench/fig_tiletree.cpp A/B; the
-                geometry columns — levels/tiles — are annotations, not
-                plotted series);
   * serving_* — client-observed latency percentiles vs offered load
                 (bench/serving_throughput.cpp: p50 solid / p99 dashed, one
                 color per serving mode);
@@ -42,11 +38,8 @@ import sys
 
 # Matches the harness naming: <family>_<stencil>-<YYYYMMDD-HHMMSS>-p<pid>.csv
 # (telemetry::write_reports uses the same stamp, so its CSVs join the runs).
-# fig_tiletree emits a single table with no per-stencil suffix, so the
-# stencil group is optional.
 FAMILY_RE = re.compile(
-    r"^(fig8|fig9|fig10|fig_tiletree|serving|telemetry)"
-    r"(?:_(.+))?-(\d{8}-\d{6}-p\d+)\.csv$")
+    r"^(fig8|fig9|fig10|serving|telemetry)_(.+)-(\d{8}-\d{6}-p\d+)\.csv$")
 
 
 def parse_csv(path):
@@ -160,7 +153,7 @@ def plot_file(plt, path, out_dir):
     m = FAMILY_RE.match(name)
     if not m:
         return None
-    family, stencil = m.group(1), m.group(2) or ""
+    family, stencil = m.group(1), m.group(2)
     header, rows = parse_csv(path)
     if not header or not rows:
         print(f"  skipping {name}: empty table", file=sys.stderr)
@@ -168,37 +161,6 @@ def plot_file(plt, path, out_dir):
 
     if family == "telemetry":
         return plot_telemetry(plt, name, stencil, header, rows, out_dir)
-
-    if family == "fig_tiletree":
-        # Flat-vs-tree A/B: the figure is the two GFLOP/s columns over the
-        # nz sweep; levels/tile columns are geometry annotations and the
-        # speedup ('1.08x') already drops out as non-numeric.
-        cols = {h: i for i, h in enumerate(header)}
-        for want in ("flat_gflops", "tree_gflops"):
-            if want not in cols:
-                print(f"  skipping {name}: no '{want}' column",
-                      file=sys.stderr)
-                return None
-        fig, ax = plt.subplots(figsize=(6.4, 4.2))
-        xs = [to_float(r[0]) for r in rows]
-        for label, style in (("flat_gflops", "--"), ("tree_gflops", "-")):
-            ys = [to_float(r[cols[label]]) if cols[label] < len(r) else None
-                  for r in rows]
-            pts = [(x, y) for x, y in zip(xs, ys)
-                   if x is not None and y is not None]
-            if pts:
-                ax.plot([p[0] for p in pts], [p[1] for p in pts], style,
-                        marker="o", markersize=3, label=label.split("_")[0])
-        ax.set_xlabel(header[0])
-        ax.set_ylabel("GFLOP/s")
-        ax.set_title("tile tree A/B — flat (levels 1) vs tree (levels 3)")
-        ax.grid(True, alpha=0.3)
-        ax.legend(fontsize=7)
-        fig.tight_layout()
-        out = os.path.join(out_dir, os.path.splitext(name)[0] + ".png")
-        fig.savefig(out, dpi=150)
-        plt.close(fig)
-        return out
 
     fig, ax = plt.subplots(figsize=(6.4, 4.2))
     xlabels = [r[0] for r in rows]
@@ -314,8 +276,8 @@ def main():
                 made.append(out)
                 print(f"wrote {out}")
     if not made:
-        sys.exit(f"no fig8_*/fig9_*/fig10_*/fig_tiletree/serving_*/"
-                 f"telemetry_* CSVs found in {args.dir} "
+        sys.exit(f"no fig8_*/fig9_*/fig10_*/serving_*/telemetry_* CSVs "
+                 f"found in {args.dir} "
                  "(run the bench harnesses with SF_BENCH_OUT set first)")
 
 

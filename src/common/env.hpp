@@ -38,12 +38,6 @@
 ///    a pool beyond the cap evicts the least-recently-used unreferenced
 ///    configuration; pools still referenced by prepared plans or servers
 ///    are never evicted (runtime/worker_pool.hpp).
-///  * `SF_TILE_LEVELS=n|auto` — default tile-tree depth for plans whose
-///    ExecOptions::levels is left at 0: 1 (the default) keeps the flat
-///    one-level plan, 2/3 engage the hierarchical LLC/register blocking
-///    pass (core/execution_plan.hpp TileTree), `auto` picks 3 when the
-///    working set exceeds the LLC and 1 otherwise. Results are bitwise
-///    identical across depths; only the tile walk changes.
 ///  * `SF_ADAPTIVE_BATCH=0` — pin the serving dispatcher's per-round drain
 ///    cap to the configured `max_batch` instead of letting it adapt to the
 ///    observed queue depth (serving/server.hpp). Any other value — including
@@ -132,18 +126,6 @@ inline long test_jitter_us() { return env_long("SF_TEST_JITTER", 0); }
 inline bool env_validate() {
   const char* v = std::getenv("SF_VALIDATE");
   return v == nullptr || std::string(v) != "0";
-}
-
-/// SF_TILE_LEVELS: default tile-tree depth when ExecOptions::levels is
-/// unset. Returns 1 when the variable is unset, -1 for "auto" (depth from
-/// working set vs LLC, resolved by the Engine), else the value clamped to
-/// [1, 3].
-inline int env_tile_levels() {
-  const char* v = std::getenv("SF_TILE_LEVELS");
-  if (v == nullptr || *v == '\0') return 1;
-  if (std::string(v) == "auto") return -1;
-  const long n = std::atol(v);
-  return n < 1 ? 1 : n > 3 ? 3 : static_cast<int>(n);
 }
 
 /// SF_ADAPTIVE_BATCH: false only when the variable is set to exactly "0" —

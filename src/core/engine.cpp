@@ -815,12 +815,28 @@ std::uint64_t hash_spec(const StencilSpec& s) {
   return h;
 }
 
+// A negative extent or plan knob is a caller error, never a request for
+// the default (that is 0): reject it before any fallback can swallow it.
+void reject_negative(const char* field, long value) {
+  if (value < 0)
+    throw std::invalid_argument(std::string("Engine::prepare: ") + field +
+                                " = " + std::to_string(value) +
+                                " is negative (0 selects the default)");
+}
+
 // Environment/preset fallback resolution shared by prepare() and
 // plan_key(): the effective request is what both the plan-cache key and the
 // plan-key hash are computed from, so an env change between calls is never
-// served (or keyed as) a stale preparation.
+// served (or keyed as) a stale preparation. Bad input throws first.
 void resolve_request(const StencilSpec& spec, Extents& ext, ExecOptions& opts,
                      int& tsteps) {
+  reject_negative("Extents::nx", ext.nx);
+  reject_negative("Extents::ny", ext.ny);
+  reject_negative("Extents::nz", ext.nz);
+  reject_negative("ExecOptions::tsteps", opts.tsteps);
+  reject_negative("ExecOptions::threads", opts.threads);
+  reject_negative("ExecOptions::tile", opts.tile);
+  reject_negative("ExecOptions::time_block", opts.time_block);
   if (opts.affinity == Affinity::None) opts.affinity = env_affinity();
   if (opts.threads == 0) opts.threads = env_threads();
   opts.validate = opts.validate && env_validate();
@@ -831,14 +847,6 @@ void resolve_request(const StencilSpec& spec, Extents& ext, ExecOptions& opts,
   if (ext.nz == 0) ext.nz = spec.dims >= 3 ? spec.small_size[2] : 1;
   tsteps = opts.tsteps > 0 ? opts.tsteps
                            : static_cast<int>(spec.small_tsteps);
-  // Tile-tree depth: unset defers to SF_TILE_LEVELS; Auto (-1, from either
-  // source) engages the full hierarchy exactly when the ping-pong working
-  // set spills the LLC — flat plans already keep LLC-resident tiles.
-  if (opts.levels == 0) opts.levels = env_tile_levels();
-  if (opts.levels < 0)
-    opts.levels =
-        working_set_bytes(ext.nx, ext.ny, ext.nz) > llc_bytes() ? 3 : 1;
-  opts.levels = opts.levels < 1 ? 1 : opts.levels > 3 ? 3 : opts.levels;
 }
 
 // The plan key: FNV-1a over the full effective request. Equal keys mean
@@ -863,7 +871,6 @@ std::uint64_t request_key(std::uint64_t spec_hash, const Extents& ext,
   h = fnv1a(h, static_cast<std::uint64_t>(o.halo_policy));
   h = fnv1a(h, static_cast<std::uint64_t>(o.affinity));
   h = fnv1a(h, static_cast<std::uint64_t>(o.pipeline));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.levels));
   h = fnv1a(h, o.validate ? 1u : 0u);
   return h;
 }
@@ -953,7 +960,6 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
            e.opts.halo_policy == opts.halo_policy &&
            e.opts.affinity == opts.affinity &&
            e.opts.pipeline == opts.pipeline &&
-           e.opts.levels == opts.levels &&
            e.opts.validate == opts.validate &&
            same_spec(e.state->spec, spec);
   };
@@ -1023,7 +1029,6 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
   req.time_block = opts.time_block;
   req.affinity = opts.affinity;
   req.pipeline = opts.pipeline;
-  req.levels = opts.levels;
   st->plan = plan_execution(req);
 
   // Build or reuse the runtime pool the tiled stages will run on (shared
@@ -1071,8 +1076,7 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
     // lookup key) — re-derive it the same way.
     entry.tune_key =
         make_tune_key(*st->kernel, effective_radius(spec), ext.nx, ext.ny,
-                      ext.nz, tsteps, plan_geometry(req).threads,
-                      st->plan.tile.levels);
+                      ext.nz, tsteps, plan_geometry(req).threads);
     entry.tune_seen = TuneCache::instance().lookup_rounded(entry.tune_key);
   }
   entry.state = st;

@@ -104,14 +104,6 @@ struct ExecOptions {
   ///< process-wide `SF_PIPELINE` default at prepare() time, so prepared
   ///< handles are env-immune and the plan cache keys on the effective
   ///< value.
-  int levels = 0;
-  ///< Tile-tree depth of the plan (core/execution_plan.hpp TileTree):
-  ///< 1 keeps the flat one-level plan, 2/3 engage the hierarchical
-  ///< LLC/register blocking negotiation, -1 picks the depth from the
-  ///< working set vs the LLC (Auto), and 0 (the default) defers to the
-  ///< process-wide `SF_TILE_LEVELS` default — resolved at prepare() time,
-  ///< so prepared handles are env-immune and the plan cache keys on the
-  ///< effective depth. Results are bitwise identical across depths.
   bool validate = true;
   ///< Per-call FieldView validation in run()/advance(). Default on; the
   ///< debug-only escape hatch (`validate = false`, or `SF_VALIDATE=0`
@@ -281,9 +273,11 @@ class Engine {
   /// The process-wide engine.
   static Engine& instance();
 
-  /// Prepares one stencil execution. Unset extents/horizon default to the
-  /// spec's preset fast-run values. Throws std::invalid_argument when no
-  /// kernel is registered for the requested (method, dims, ISA).
+  /// Prepares one stencil execution. Unset (0) extents/horizon default to
+  /// the spec's preset fast-run values. Throws std::invalid_argument, naming
+  /// the field and value, for a negative extent, tsteps, threads, tile or
+  /// time_block, and when no kernel is registered for the requested
+  /// (method, dims, ISA).
   PreparedStencil prepare(const StencilSpec& spec, Extents ext = {},
                           const ExecOptions& opts = {});
   /// Preset convenience overload of prepare().
@@ -309,6 +303,7 @@ class Engine {
   /// SF_THREADS, SF_VALIDATE) and preset extent/horizon fallbacks are
   /// resolved — the same value PreparedStencil::plan_key() reports on the
   /// resulting handle. Lets a batcher group requests before preparing.
+  /// Throws std::invalid_argument for the negative inputs prepare() rejects.
   std::uint64_t plan_key(const StencilSpec& spec, Extents ext = {},
                          const ExecOptions& opts = {}) const;
 

@@ -4,7 +4,6 @@
 
 #include "common/env.hpp"
 #include "core/tuner.hpp"
-#include "runtime/topology.hpp"
 
 namespace sf {
 
@@ -113,87 +112,6 @@ bool tiling_profitable(const PlanRequest& req) {
 
 WedgeGeometry plan_geometry(const PlanRequest& req) { return negotiate(req); }
 
-namespace {
-
-// The multi-level negotiation pass (tentpole of the tile-tree refactor).
-// Levels, outermost first, mirroring TileTree's documentation:
-//  1. the top level is the per-worker shard the PlacementPlan already
-//     owns — worker count and contiguous tile ownership are unchanged, so
-//     the pipelined NeighborSync ordering (one publish/wait pair per
-//     worker per stage) keeps covering every cross-worker hazard;
-//  2. the mid level caps the wedge tile so one tile's ping-pong working
-//     set (3 slices of slack per plane, as in the serial Fig. 8 cap) fits
-//     the LLC share a single worker gets on its NUMA node — a worker then
-//     walks several cache-resident tiles per stage instead of streaming
-//     one node-sized tile through memory;
-//  3. the leaf level rounds the mid tile down to the kernel's
-//     register-block quantum (KernelInfo::reg_block) so no tile cuts the
-//     unit the vector path processes at once.
-// Returns the engaged depth: the requested depth when the capped geometry
-// still blocks, or 1 (flat — the degenerate tree) when the cap does not
-// bind, the domain cannot block at the capped tile, or the plan is serial
-// (the serial heuristic already LLC-caps its single-worker tile).
-int negotiate_tree(const PlanRequest& req, ExecutionPlan& plan) {
-  if (req.levels < 2 || !plan.blocked || plan.tile.threads <= 1 ||
-      req.tile > 0)
-    return 1;
-  const long slice = slice_bytes(*req.spec, req.nx, req.ny);
-  const int nodes = std::max(1, Topology::system().numa_nodes());
-  const int workers_per_node =
-      (plan.tile.threads + nodes - 1) / nodes;
-  long cap = llc_bytes() / std::max(1, workers_per_node) /
-             std::max(1L, 3 * std::max<long>(slice, 1));
-  const int leaf = req.levels >= 3 ? std::max(1, req.kernel->reg_block()) : 1;
-  if (leaf > 1 && cap > leaf) cap = cap / leaf * leaf;
-  if (cap <= 0 || cap >= plan.tile.tile) return 1;  // cap does not bind
-  PlanRequest mid = req;
-  mid.tile = static_cast<int>(cap);
-  mid.time_block = 0;  // re-derive the block height for the smaller tile
-  mid.threads = plan.tile.threads;
-  const WedgeGeometry mg = negotiate(mid);
-  if (!mg.blocked) return 1;  // too small to keep wedges disjoint
-  plan.tile.tile = mg.tile;
-  plan.tile.time_block = mg.time_block;
-  return req.levels;
-}
-
-// Stamps ExecutionPlan::tree from the final geometry: the degenerate
-// one-level chain for flat plans, shard -> L3 tile (-> register block)
-// for engaged multi-level ones. Built last so a tuner recall's tile is
-// what the tree reports.
-void stamp_tree(const PlanRequest& req, ExecutionPlan& plan, int levels) {
-  const int axis = req.spec->dims - 1;
-  const long n_tiled = tiled_extent(*req.spec, req.nx, req.ny, req.nz);
-  TileTree leaf_level;
-  leaf_level.axis = axis;
-  leaf_level.extent = plan.tile.tile;
-  if (levels <= 1) {
-    plan.tree = std::move(leaf_level);
-    return;
-  }
-  const int ntiles =
-      static_cast<int>((n_tiled + plan.tile.tile - 1) / plan.tile.tile);
-  const int workers = std::max(1, plan.tile.threads);
-  TileTree root;
-  root.axis = axis;
-  root.extent = static_cast<int>(
-      std::min<long>(n_tiled, static_cast<long>((ntiles + workers - 1) /
-                                                workers) *
-                                  plan.tile.tile));
-  TileTree mid = std::move(leaf_level);
-  if (levels >= 3) {
-    TileTree reg;
-    reg.axis = axis;
-    reg.extent = std::min(plan.tile.tile,
-                          std::max(1, req.kernel->reg_block()));
-    mid.children.push_back(std::move(reg));
-  }
-  root.children.push_back(std::move(mid));
-  plan.tree = std::move(root);
-}
-
-}  // namespace
-
 ExecutionPlan plan_execution(const PlanRequest& req) {
   ExecutionPlan plan;
   plan.kernel = req.kernel;
@@ -211,10 +129,6 @@ ExecutionPlan plan_execution(const PlanRequest& req) {
   plan.tile.threads = g.threads;
   plan.tile.affinity = req.affinity;
   plan.tile.pipeline = req.pipeline;
-  // Multi-level pass before the tuner: the engaged depth is part of the
-  // tune key, so tree and flat measurements of one shape never cross.
-  const int levels = negotiate_tree(req, plan);
-  plan.tile.levels = levels;
   // Explicit geometry outranks the cache; a fully-auto request recalls any
   // previously-measured result for this configuration — exact shape first,
   // then the quarter-octave shape bucket (core/tuner.hpp tune_bucket), so
@@ -228,7 +142,7 @@ ExecutionPlan plan_execution(const PlanRequest& req) {
   if (req.tile == 0 && req.time_block == 0) {
     const TuneKey key =
         make_tune_key(*req.kernel, effective_radius(*req.spec), req.nx,
-                      req.ny, req.nz, req.tsteps, g.threads, levels);
+                      req.ny, req.nz, req.tsteps, g.threads);
     if (auto hit = TuneCache::instance().lookup_rounded(key)) {
       PlanRequest cached = req;
       cached.tile = hit->tile;
@@ -253,7 +167,6 @@ ExecutionPlan plan_execution(const PlanRequest& req) {
     plan.placement =
         balanced_placement(ntiles, plan.tile.threads, req.affinity);
   }
-  stamp_tree(req, plan, levels);
   return plan;
 }
 

@@ -48,42 +48,6 @@ enum class PlanSource {
 /// Display name of a PlanSource ("untiled", "heuristic", "cached", "tuned").
 const char* plan_source_name(PlanSource s);
 
-/// One level of the hierarchical tile tree: the extent tiles have along the
-/// tessellated axis at this level, plus the child levels that subdivide each
-/// such tile. The tree is a degenerate chain (every level has at most one
-/// child describing the next-finer blocking), mirroring the recursive
-/// child-tiles design of mv::Tiling: a node's extent divides work, its
-/// children say how one share is blocked further.
-///
-/// Levels, outermost first:
-///  1. worker shard — the contiguous run of wedge tiles one pool worker
-///     owns (PlacementPlan ownership; the unit a NUMA node, and one day a
-///     multi-process distributor, holds);
-///  2. L3 tile — the wedge tile extent, capped so one tile's ping-pong
-///     working set fits a NUMA node's per-worker LLC share;
-///  3. register block — the kernel's vector/fold quantum
-///     (KernelInfo::reg_block), the granule level 2 is rounded to.
-///
-/// A flat plan is the degenerate one-level tree: a single node whose extent
-/// is the wedge tile. The wedge scheduler walks this structure implicitly —
-/// the outer level is its per-worker owned-tile loop, the leaf is one wedge
-/// — so tree and flat plans execute the identical wedge set and results are
-/// bitwise independent of the depth.
-struct TileTree {
-  int axis = 0;    ///< Tessellated dimension: 0 = x (1-D), 1 = y, 2 = z.
-  int extent = 0;  ///< Nominal tile extent along `axis` at this level (the
-                   ///< last tile of a level may be ragged, and worker
-                   ///< shards may differ by one wedge tile).
-  std::vector<TileTree> children;  ///< Next-finer level; empty at the leaf.
-
-  /// Number of levels of this (chain-shaped) tree; 1 for a flat plan.
-  int depth() const {
-    return children.empty() ? 1 : 1 + children.front().depth();
-  }
-  /// True when this is the degenerate one-level (flat) tree.
-  bool flat() const { return children.empty(); }
-};
-
 /// Everything plan_execution() needs to decide how a run executes.
 struct PlanRequest {
   const StencilSpec* spec = nullptr;    ///< The stencil being solved.
@@ -103,12 +67,6 @@ struct PlanRequest {
                                        ///< (the Engine resolves SF_PIPELINE
                                        ///< before building the request;
                                        ///< Auto defers to run time).
-  int levels = 1;  ///< Requested tile-tree depth (1 = flat, 2 = + LLC
-                   ///< mid level, 3 = + register-block leaf). The Engine
-                   ///< resolves ExecOptions::levels / SF_TILE_LEVELS /
-                   ///< the Auto working-set heuristic before building the
-                   ///< request; plan_execution clamps to what actually
-                   ///< engages (ExecutionPlan::tree reports the result).
 };
 
 /// How one Solver run will execute: untiled kernel call, or the split-tiled
@@ -132,12 +90,6 @@ struct ExecutionPlan {
                             ///< Engine's first-touch initialization walks
                             ///< it so a worker's tiles live on its node.
   PlanSource source = PlanSource::Untiled;  ///< Provenance of the geometry.
-  TileTree tree;  ///< The hierarchical blocking of a tiled plan, outermost
-                  ///< level first (see TileTree). Flat plans carry the
-                  ///< degenerate one-level tree whose extent is the wedge
-                  ///< tile; engaged multi-level plans additionally report
-                  ///< the worker-shard and register-block levels. Untiled
-                  ///< plans leave it empty (extent 0).
 };
 
 /// The largest radius the selected kernel must read with: the stencil's own

@@ -169,13 +169,6 @@ Solver& Solver::pipeline(Pipeline p) {
   return *this;
 }
 
-Solver& Solver::levels(int depth) {
-  cfg_.levels = depth;
-  selected_ = nullptr;
-  prepared_ = PreparedStencil{};
-  return *this;
-}
-
 Solver& Solver::tile(int extent) {
   cfg_.tile = extent;
   selected_ = nullptr;
@@ -251,7 +244,6 @@ ExecOptions Solver::exec_options() const {
   o.tsteps = cfg_.tsteps;
   o.affinity = cfg_.affinity;
   o.pipeline = cfg_.pipeline;
-  o.levels = cfg_.levels;
   return o;
 }
 
@@ -269,10 +261,6 @@ PlanRequest Solver::plan_request() const {
   req.time_block = cfg_.time_block;
   req.affinity = cfg_.affinity;
   req.pipeline = cfg_.pipeline;
-  // The *engaged* depth of the resolved plan (plan_request requires a
-  // selected kernel, so plan_ is live): re-planning from this request
-  // re-derives the same tree the Engine negotiated.
-  req.levels = plan_.tile.levels;
   return req;
 }
 
@@ -293,10 +281,6 @@ int Solver::halo() { return resolve().halo_; }
 //
 // The search runs its axes in sequence rather than their full product
 // (additive, not multiplicative, probe counts):
-//  0. tree plans only (TilePlan::levels >= 2), staged ahead of the tile
-//     axis: leaf (register-block) granules 1x/2x/4x KernelInfo::reg_block —
-//     the planner's mid tile re-aligned down to each granule and measured,
-//     so the L3-tile axis then searches leaf-aligned extents;
 //  1. tile extents, each probed at the block height the Fig. 7 heuristic
 //     yields for it — the heuristic is the probe seed, never skipped;
 //  2. (tile × time_block) pairs: the winning tile re-measured at halved
@@ -366,47 +350,13 @@ void Solver::tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
   double best_sec = std::numeric_limits<double>::infinity();
   int best_tile = plan_.tile.tile;
   int best_tb = 0;  // 0 = the heuristic height (re-derived at deploy time)
-  int best_leaf = 0;  // 0 = no leaf granule probed/won (flat plans)
-  bool warmed = false;
 
-  // Axis 0 (tree plans only): leaf granules, staged ahead of the tile axis.
-  // A granule only survives as provenance (TunedGeometry::leaf) when its
-  // aligned tile actually measured fastest so far; the axis-1 candidates
-  // are then rounded to it, keeping the winner leaf-aligned.
-  if (plan_.tile.levels >= 2) {
-    const int q = std::max(1, selected_->reg_block());
-    for (int mult : {1, 2, 4}) {
-      const int granule = q * mult;
-      const int aligned = plan_.tile.tile / granule * granule;
-      if (granule < 2 || aligned < 3 * slope) continue;
-      treq.tile = aligned;
-      treq.time_block = 0;
-      const WedgeGeometry g = plan_geometry(treq);
-      if (!g.blocked) continue;
-      if (!warmed) {
-        // Untimed warmup: absorbs one-time costs (pool creation, page
-        // faults) so they don't land on the first measured candidate.
-        probe(g.tile, g.time_block, base_threads,
-              std::min(cfg_.tsteps, 2 * m));
-        warmed = true;
-      }
-      const double sec = measure(g.tile, g.time_block, base_threads);
-      if (sec < best_sec) {
-        best_sec = sec;
-        best_tile = g.tile;
-        best_leaf = granule;
-      }
-    }
-  }
-
-  // Axis 1: tile extents at their heuristic block heights, rounded to the
-  // winning leaf granule when axis 0 picked one. A taller block than the
-  // probe horizon can observe is never measured; unblockable candidates
-  // have no wedge schedule to measure.
+  // Axis 1: tile extents at their heuristic block heights. A taller block
+  // than the probe horizon can observe is never measured; unblockable
+  // candidates have no wedge schedule to measure.
   std::vector<std::pair<int, int>> cands;  // (tile, probe time_block)
   for (int c :
        tile_candidates(n_tiled, slope, base_threads, plan_.tile.tile)) {
-    if (best_leaf > 1) c = std::max(best_leaf, c / best_leaf * best_leaf);
     treq.tile = c;
     treq.time_block = 0;
     const WedgeGeometry g = plan_geometry(treq);
@@ -415,10 +365,11 @@ void Solver::tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
                   std::make_pair(g.tile, g.time_block)) == cands.end())
       cands.emplace_back(g.tile, g.time_block);
   }
-  if (cands.empty() && !warmed) return;  // nothing measurable at all
-  if (!warmed && !cands.empty())
-    probe(cands.front().first, cands.front().second, base_threads,
-          std::min(cfg_.tsteps, 2 * m));
+  if (cands.empty()) return;  // nothing measurable at all
+  // Untimed warmup: absorbs one-time costs (pool creation, page faults) so
+  // they don't land on the first measured candidate.
+  probe(cands.front().first, cands.front().second, base_threads,
+        std::min(cfg_.tsteps, 2 * m));
   for (const auto& [tile_c, tb_c] : cands) {
     const double sec = measure(tile_c, tb_c, base_threads);
     if (sec < best_sec) {
@@ -485,9 +436,9 @@ void Solver::tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
   const WedgeGeometry deployed = plan_geometry(treq);
   TuneCache::instance().store(
       make_tune_key(*selected_, effective_radius(cfg_.spec), cfg_.nx, cfg_.ny,
-                    cfg_.nz, cfg_.tsteps, base_threads, plan_.tile.levels),
+                    cfg_.nz, cfg_.tsteps, base_threads),
       TunedGeometry{deployed.tile, deployed.time_block,
-                    best_thr != base_threads ? best_thr : 0, best_leaf});
+                    best_thr != base_threads ? best_thr : 0});
   // The store invalidated this configuration's cached plan (per-key), so
   // this re-prepare re-plans and recalls the geometry just recorded: the
   // prepared handle the timed run executes through carries the tuned plan.

@@ -145,12 +145,6 @@ class Solver {
   /// bitwise identical either way; Off keeps the barrier schedule
   /// selectable for comparison benchmarks.
   Solver& pipeline(Pipeline p);
-  /// Tile-tree depth of the plan (core/execution_plan.hpp TileTree): 1 =
-  /// flat (the historical plan), 2/3 = hierarchical LLC/register blocking,
-  /// -1 = Auto (depth from working set vs LLC), 0 (the default) = the
-  /// process-wide `SF_TILE_LEVELS` default. Results are bitwise identical
-  /// across depths; only cache locality changes.
-  Solver& levels(int depth);
   /// Explicit tile extent along the tiled dimension (0 = negotiate/tune).
   Solver& tile(int extent);
   /// Explicit time steps per block (0 = negotiate/tune).
@@ -172,20 +166,6 @@ class Solver {
   Solver& resident_layout(bool on = true);
   /// Seed of the deterministic random initial condition.
   Solver& seed(std::uint64_t s);
-
-  /// \deprecated Use tiling(Tiling::On) / tiling(Tiling::Off).
-  Solver& tiled(bool on = true) {
-    return tiling(on ? Tiling::On : Tiling::Off);
-  }
-  /// \deprecated Use tiling(Tiling::On) plus tile()/time_block()/threads().
-  /// The plan's method/ISA always follow the Solver-selected kernel, so
-  /// `opts.method`/`opts.isa` are ignored.
-  Solver& tiled(const TilePlan& opts) {
-    tile(opts.tile);
-    time_block(opts.time_block);
-    threads(opts.threads);
-    return tiling(Tiling::On);
-  }
 
   // ---- resolved view ----------------------------------------------------
   /// The stencil being solved.
@@ -245,7 +225,6 @@ class Solver {
     int time_block = 0;
     Affinity affinity = Affinity::None;
     Pipeline pipeline = Pipeline::Auto;
-    int levels = 0;
     bool tune = false;
     bool resident = false;
     std::uint64_t seed = 42;
@@ -261,8 +240,7 @@ class Solver {
   ExecOptions exec_options() const;
   /// The measure-once auto-tuning pass: when enabled and the plan is a
   /// blocked heuristic one, probes candidates on (a, b) along staged axes
-  /// in sequence — leaf (register-block) granules first for tree plans,
-  /// then tile extents (heuristic block height as the probe seed),
+  /// in sequence — tile extents (heuristic block height as the probe seed),
   /// then (tile × time_block) pairs around the winner, then candidate
   /// thread counts {resolved, resolved/2, cores-per-node} — records the
   /// winner in the TuneCache, re-prepares through the Engine (which now

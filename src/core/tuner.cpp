@@ -10,17 +10,12 @@ namespace sf {
 namespace {
 
 // One entry per line:
-//   v3 <kernel> <isa> <dims> <radius> <nx> <ny> <nz> <tsteps> <threads>
-//      <tile> <tb> <tuned_threads> <levels> <leaf>
+//   v2 <kernel> <isa> <dims> <radius> <nx> <ny> <nz> <tsteps> <threads>
+//      <tile> <tb> <tuned_threads>
 // The kernel key never contains whitespace (registry names are method
-// names), so plain stream extraction round-trips. Earlier formats still
-// parse, each missing column defaulting to its pre-axis meaning: v2 lines
-// (no <levels> <leaf>) load as flat entries (levels = 1, leaf = 0), v1
-// lines (additionally no <tuned_threads>) also deploy with the key's
-// thread count (tuned_threads = 0).
-constexpr const char* kFormatTag = "v3";
-constexpr const char* kFormatTagV2 = "v2";
-constexpr const char* kFormatTagV1 = "v1";
+// names), so plain stream extraction round-trips. Lines with any other tag
+// do not parse and are skipped.
+constexpr const char* kFormatTag = "v2";
 
 int isa_code(Isa isa) { return static_cast<int>(isa); }
 
@@ -38,8 +33,7 @@ std::string to_line(const TuneKey& k, const TunedGeometry& g) {
   os << kFormatTag << ' ' << k.kernel << ' ' << isa_code(k.isa) << ' '
      << k.dims << ' ' << k.radius << ' ' << k.nx << ' ' << k.ny << ' '
      << k.nz << ' ' << k.tsteps << ' ' << k.threads << ' ' << g.tile << ' '
-     << g.time_block << ' ' << g.threads << ' ' << k.levels << ' '
-     << g.leaf;
+     << g.time_block << ' ' << g.threads;
   return os.str();
 }
 
@@ -47,28 +41,18 @@ bool parse_line(const std::string& line, TuneKey& k, TunedGeometry& g) {
   std::istringstream is(line);
   std::string tag;
   int isa = -1;
-  if (!(is >> tag >> k.kernel >> isa >> k.dims >> k.radius >> k.nx >> k.ny >>
-        k.nz >> k.tsteps >> k.threads >> g.tile >> g.time_block))
+  if (!(is >> tag) || tag != kFormatTag) return false;
+  if (!(is >> k.kernel >> isa >> k.dims >> k.radius >> k.nx >> k.ny >> k.nz >>
+        k.tsteps >> k.threads >> g.tile >> g.time_block >> g.threads))
     return false;
-  g.threads = 0;
-  k.levels = 1;
-  g.leaf = 0;
-  if (tag == kFormatTag || tag == kFormatTagV2) {
-    if (!(is >> g.threads) || g.threads < 0) return false;
-    if (tag == kFormatTag &&
-        (!(is >> k.levels >> g.leaf) || k.levels < 1 || g.leaf < 0))
-      return false;
-  } else if (tag != kFormatTagV1) {
-    return false;
-  }
   return isa_from_code(isa, k.isa) && k.dims >= 1 && k.dims <= 3 &&
-         g.tile > 0 && g.time_block > 0;
+         g.tile > 0 && g.time_block > 0 && g.threads >= 0;
 }
 
 }  // namespace
 
 TuneKey make_tune_key(const KernelInfo& kernel, int radius, long nx, long ny,
-                      long nz, int tsteps, int threads, int levels) {
+                      long nz, int tsteps, int threads) {
   TuneKey k;
   k.kernel = kernel.name;
   k.isa = kernel.isa;
@@ -79,7 +63,6 @@ TuneKey make_tune_key(const KernelInfo& kernel, int radius, long nx, long ny,
   k.nz = nz;
   k.tsteps = tsteps;
   k.threads = threads;
-  k.levels = levels;
   return k;
 }
 
@@ -201,7 +184,7 @@ bool TuneCache::save_file(const std::string& path) const {
   if (!out) return false;
   out << "# stencilfold tuning cache: " << kFormatTag
       << " kernel isa dims radius nx ny nz tsteps threads tile time_block"
-         " tuned_threads levels leaf\n";
+         " tuned_threads\n";
   LockGuard lock(mu_);
   for (const auto& e : entries_) out << to_line(e.first, e.second) << '\n';
   return static_cast<bool>(out);

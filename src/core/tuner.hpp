@@ -44,17 +44,12 @@ struct TuneKey {
   long nz = 1;             ///< Third extent.
   int tsteps = 0;          ///< Time-step horizon.
   int threads = 0;         ///< Resolved OpenMP thread count.
-  int levels = 1;          ///< Engaged tile-tree depth (1 = flat). Tree
-                           ///< plans tile a different axis of the geometry
-                           ///< space (the LLC-capped mid tile), so their
-                           ///< measurements never leak into flat plans of
-                           ///< the same shape, and vice versa.
 
   /// Field-wise equality.
   bool operator==(const TuneKey& o) const {
     return kernel == o.kernel && isa == o.isa && dims == o.dims &&
            radius == o.radius && nx == o.nx && ny == o.ny && nz == o.nz &&
-           tsteps == o.tsteps && threads == o.threads && levels == o.levels;
+           tsteps == o.tsteps && threads == o.threads;
   }
 };
 
@@ -64,28 +59,21 @@ struct TunedGeometry {
   int time_block = 0;  ///< Time steps per block.
   int threads = 0;     ///< Winning worker count, when the measuring pass
                        ///< probed the thread-count axis (0 = deploy with
-                       ///< the key's thread count — the pre-axis format,
-                       ///< still written by entries that never probed).
-  int leaf = 0;        ///< Winning leaf (register-block) alignment granule,
-                       ///< when the measuring pass probed the per-level
-                       ///< leaf axis of a tree plan (0 = none probed — flat
-                       ///< plans and the pre-v3 formats). Provenance for
-                       ///< the recorded tile, which is already aligned.
+                       ///< the key's thread count).
 
   /// Field-wise equality (the Engine's plan cache compares the lookup it
   /// snapshotted at prepare time against the current one).
   bool operator==(const TunedGeometry& o) const {
     return tile == o.tile && time_block == o.time_block &&
-           threads == o.threads && leaf == o.leaf;
+           threads == o.threads;
   }
   /// Field-wise inequality.
   bool operator!=(const TunedGeometry& o) const { return !(*this == o); }
 };
 
-/// Builds the key for a kernel/radius/shape/horizon/threads configuration;
-/// `levels` is the engaged tile-tree depth (1 = flat, the default).
+/// Builds the key for a kernel/radius/shape/horizon/threads configuration.
 TuneKey make_tune_key(const KernelInfo& kernel, int radius, long nx, long ny,
-                      long nz, int tsteps, int threads, int levels = 1);
+                      long nz, int tsteps, int threads);
 
 /// Rounds an extent down to its tuning bucket: quarter-octave edges
 /// (1.0x, 1.25x, 1.5x, 1.75x of each power of two), so production sweeps
@@ -132,7 +120,9 @@ class TuneCache {
   void clear();
 
   /// Merges entries from a cache file (later lines win). Returns the number
-  /// of lines successfully parsed; unparsable lines are skipped.
+  /// of lines successfully parsed; unparsable lines — including lines of
+  /// any other format tag than the one save_file() writes — are skipped
+  /// (the cache is advisory: a skipped entry costs one re-measure).
   std::size_t load_file(const std::string& path);
 
   /// Writes the whole table to `path` (one line per entry). Returns false

@@ -75,11 +75,11 @@ FoldingPlan plan_columns(int m, int radius,
 }  // namespace
 
 long FoldingPlan::vec_collect() const {
-  // Counting rule (documented in DESIGN.md, validated against the paper's
-  // §3.3 example): each basis column costs one ⟨grid,weight⟩ pair per
-  // non-zero entry (the vertical folding), each horizontal term one pair,
-  // except that the defining use of each basis column is free (the vertical
-  // folding result is consumed directly).
+  // Counting rule (docs/ARCHITECTURE.md#the-fold-cost-counting-rule,
+  // validated against the paper's §3.3 example): each basis column costs
+  // one ⟨grid,weight⟩ pair per non-zero entry (the vertical folding), each
+  // horizontal term one pair, except that the defining use of each basis
+  // column is free (the vertical folding result is consumed directly).
   long c = 0;
   for (const auto& b : basis) c += nnz(b);
   c += static_cast<long>(terms.size());

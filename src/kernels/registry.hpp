@@ -105,20 +105,6 @@ struct KernelInfo {
   Layout resident_layout(int radius) const {
     return supports(radius) ? preferred_layout : Layout::Natural;
   }
-
-  /// Register-block quantum along the *tiled* dimension: the extent the
-  /// tile tree's leaf level (core/execution_plan.hpp TileTree) rounds a
-  /// mid-level tile down to, so an L3 tile never cuts the unit the vector
-  /// path processes at once. 1-D tiles cut the contiguous SIMD dimension,
-  /// where the register-transpose kernels work on width x width element
-  /// blocks; 2-D/3-D tile across rows/planes, where the folded kernels
-  /// advance fold_depth levels per sweep of a row/plane group. Purely a
-  /// rounding granule — every extent is still *correct*, this is the one
-  /// the kernel executes without partial-block entry/exit work.
-  int reg_block() const {
-    const int m = fold_depth > 1 ? fold_depth : 1;
-    return dims == 1 ? width * width : m;
-  }
 };
 
 /// Process-wide table of registered kernels. Executor TUs add entries at

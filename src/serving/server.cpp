@@ -505,6 +505,10 @@ Request* make_request(const std::string& tenant, const PreparedStencil& ps,
     *why = "empty PreparedStencil handle";
     return nullptr;
   }
+  if (nsteps < 0) {
+    *why = "nsteps = " + std::to_string(nsteps) + " is negative";
+    return nullptr;
+  }
   Request* r = new Request;
   r->ps = ps;
   r->tenant = tenant;

@@ -49,7 +49,8 @@ enum class Reject {
   TenantPlans,    ///< The tenant would exceed its distinct-plan budget.
   TenantInflight, ///< The tenant is at its in-flight request budget.
   ShuttingDown,   ///< The server is being destroyed and admits no new work.
-  BadRequest,     ///< The views failed validation against the prepared
+  BadRequest,     ///< The handle is empty, nsteps is negative, or the
+                  ///< views failed validation against the prepared
                   ///< geometry (see ServeResult::error for the reason).
 };
 

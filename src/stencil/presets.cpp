@@ -149,7 +149,8 @@ std::vector<StencilSpec> make_presets() {
     s.id = Preset::Life;
     s.name = "GameOfLife";
     s.dims = 2;
-    // Arithmetic surrogate: all 8 neighbours, no self-term (DESIGN.md).
+    // Arithmetic surrogate: all 8 neighbours, no self-term (see
+    // docs/ARCHITECTURE.md#the-game-of-life-surrogate).
     s.p2 = box2(0.125, 0.125, 0.0);
     s.full_size = {5000, 5000, 1};
     s.full_tsteps = 1000;

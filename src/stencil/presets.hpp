@@ -3,7 +3,8 @@
 // Star stencils: 1D-Heat (3pt), 2D-Heat (5pt), 3D-Heat (7pt).
 // Box stencils:  1D5P, 2D9P, 3D27P.
 // Real-world:    APOP (1D3P over two input arrays), Game of Life (8-point
-//                surrogate, see DESIGN.md), GB (asymmetric 9-weight box).
+//                surrogate, see docs/ARCHITECTURE.md#the-game-of-life-surrogate),
+//                GB (asymmetric 9-weight box).
 #pragma once
 
 #include <array>

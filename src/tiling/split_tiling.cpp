@@ -39,7 +39,6 @@ struct WedgePlan {
   int tile = 0;
   int H = 0;      // super-steps per time block
   int threads = 1;
-  int levels = 1;  // engaged tile-tree depth (TilePlan::levels)
   Affinity affinity = Affinity::None;
   bool blocked = true;   // false: domain too small, run unblocked
   bool pipeline = true;  // false: legacy global-barrier stage schedule
@@ -57,7 +56,6 @@ WedgePlan make_plan(int n, int slope, int super_steps, const TilePlan& opt,
   w.tile = g.tile;
   w.H = std::max(1, g.time_block / m);
   w.threads = g.threads;
-  w.levels = std::max(1, opt.levels);
   w.affinity = opt.affinity;
   w.blocked = g.blocked;
   w.pipeline = opt.pipeline == Pipeline::On ||
@@ -98,55 +96,49 @@ std::shared_ptr<WorkerPool> plan_pool(const WedgePlan& w) {
 /// (ExecutionPlan::placement) and first_touch() initializes by, so a
 /// worker's tiles stay on its NUMA node across all super-steps.
 ///
-/// That per-worker tile loop is also how the schedule walks a hierarchical
-/// tile tree (core/execution_plan.hpp TileTree): the worker's owned range
-/// [t0, t1) *is* the top (shard) level, each owned tile is one mid-level
-/// (LLC-capped, leaf-rounded) tile, and one wedge is the leaf execution.
-/// Flat plans are the degenerate one-tile-per-worker walk.
+/// The walk *fuses* the two sweeps: the inverted wedge at an interior tile
+/// boundary kt depends only on the up wedges at kt-1 and kt (the
+/// blocked-geometry guarantee keeps every other wedge pair disjoint), so
+/// the walk runs up(kt) immediately followed by down(kt), and the flank
+/// rows the down wedge consumes are the ones the two preceding up wedges
+/// just wrote — a reuse distance of one tile, not the worker's whole range.
+/// Only the boundary wedge at t0 reads another worker's rows; it runs after
+/// the neighbor wait (or the stage barrier). Each (row, parity) value is
+/// written exactly once per block by the same adv call whatever the order,
+/// so results are bitwise equal to sweeping all ups before all downs.
 ///
-/// Tree plans (w.levels >= 2) additionally *fuse* the two sweeps: the
-/// inverted wedge at an interior tile boundary kt depends only on the up
-/// wedges at kt-1 and kt (the blocked-geometry guarantee keeps every other
-/// wedge pair disjoint), so the walk runs up(kt) immediately followed by
-/// down(kt) and the flank rows the down wedge consumes are the ones the two
-/// preceding up wedges just wrote — reuse distance of one LLC-sized tile
-/// instead of the worker's whole shard (the flat walk sweeps all ups, then
-/// re-reads everything for the downs). Only the boundary wedge at t0 reads
-/// another worker's rows; it stays behind the same neighbor wait as the
-/// flat walk. The wedge set and every wedge's inputs are identical — each
-/// (row, parity) value is written exactly once per block by the same adv
-/// call — so results are bitwise equal across tree depths and the
-/// NeighborSync protocol stays per *worker*, i.e. at the top level only.
-///
-/// Two schedules execute that identical wedge set (bitwise-identical
-/// results; only the waiting differs):
+/// Two schedules execute that wedge set (bitwise-identical results; only
+/// the waiting differs):
 ///
 ///  * Barrier (w.pipeline false, or serial, or nested-on-pool): stages run
-///    as pool tasks; the barrier between the up (triangles) and down
-///    (inverted triangles) stages is the pool task boundary.
+///    as pool tasks; the barrier between the own-tile stage (all up wedges
+///    plus the interior inverted ones) and the boundary stage (the inverted
+///    wedge at t0) is the pool task boundary. Serial runs walk every tile
+///    as one range, so only tile 0's boundary exists and it has no wedge.
 ///
 ///  * Pipelined (pipelined_schedule()): one long-lived task per worker with
 ///    point-to-point NeighborSync counters. Worker w publishes seq = 2b+1
-///    after its up stage of block b and seq = 2b+2 after its down stage.
-///    With contiguous ownership exactly two waits cover every cross-worker
-///    hazard: before up(b>0), wait seq[w+1] >= 2b — the boundary wedge at
-///    tile t1 (owned by w+1) rewrote rows w's top tile reads, and w's own
-///    up writes into rows that down wedge read (RAW + WAR in one edge);
-///    before down(b), wait seq[w-1] >= 2b+1 — the down wedge at tile t0
-///    reads w-1's up flank below t0*tile. All remaining stage overlaps are
-///    disjoint by the blocked-geometry guarantee tile >= (2H+1)*slope.
+///    after its own-tile stage of block b and seq = 2b+2 after its boundary
+///    stage. With contiguous ownership exactly two waits cover every
+///    cross-worker hazard: before own-tile(b>0), wait seq[w+1] >= 2b — the
+///    boundary wedge at tile t1 (owned by w+1) rewrote rows w's top tile
+///    reads, and w's own up writes into rows that wedge read (RAW + WAR in
+///    one edge); before boundary(b), wait seq[w-1] >= 2b+1 — the inverted
+///    wedge at tile t0 reads w-1's up flank below t0*tile. All remaining
+///    stage overlaps are disjoint by the blocked-geometry guarantee
+///    tile >= (2H+1)*slope.
 ///    Edge workers skip the missing-neighbor wait; empty-range workers
 ///    (ntiles < workers) execute nothing but still publish every round, so
 ///    neighbors indexed past them never deadlock.
 ///
 /// `prologue(t0, t1, wk)`, when set, runs on each worker before its first
-/// up stage (pipelined path only — callers must gate on
+/// own-tile stage (pipelined path only — callers must gate on
 /// pipelined_schedule()): the resident-layout transform of the worker's own
 /// rows overlaps the first super-step instead of serializing in front of
-/// it. No extra sync edge is needed: up(0) reads only the worker's own rows
-/// (plus domain-end halo rows, owned by the same edge worker), and down(0)
-/// already waits on w-1's up(0) publish, which transitively orders w-1's
-/// prologue.
+/// it. No extra sync edge is needed: own-tile(0) reads only the worker's
+/// own rows (plus domain-end halo rows, owned by the same edge worker), and
+/// boundary(0) already waits on w-1's own-tile(0) publish, which
+/// transitively orders w-1's prologue.
 template <class G, class Adv>
 int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
                    WorkerPool* pool,
@@ -164,16 +156,9 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
     telemetry::Counter barrier_runs =
         telemetry::counter("tiling.wedge.barrier_runs");
     telemetry::Counter blocks = telemetry::counter("tiling.wedge.blocks");
-    telemetry::Counter tree_runs =
-        telemetry::counter("tiling.wedge.tree_runs");
   };
   static const WedgeTelemetry wt;
   const long nblocks = w.H > 0 ? (super_steps + w.H - 1) / w.H : 0;
-  // A schedule counts as a tree run when its geometry was negotiated at
-  // depth >= 2: LLC-capped tiles per worker, walked with the fused
-  // up/down traversal (see above).
-  const bool fused = w.levels >= 2;
-  if (fused) wt.tree_runs.add(1);
   auto up_tile = [&](int kt, int hb, int cur, int wk) {
     const int x0 = kt * w.tile;
     const int x1 = std::min(w.n, x0 + w.tile);
@@ -192,6 +177,18 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
       adv(*bufs[(cur + sg - 1) & 1], *bufs[(cur + sg) & 1], lo, hi, wk);
     }
   };
+  // The fused walk over [t0, t1): every up wedge, each interior inverted
+  // wedge right behind the second up wedge it reads.
+  auto own_tiles = [&](int t0, int t1, int hb, int cur, int wk) {
+    for (int kt = t0; kt < t1; ++kt) {
+      up_tile(kt, hb, cur, wk);
+      if (kt > t0) down_tile(kt, hb, cur, wk);
+    }
+  };
+  // The boundary inverted wedge at t0 reads the up flank of the tile below.
+  auto boundary_tile = [&](int t0, int t1, int hb, int cur, int wk) {
+    if (t0 >= 1 && t0 < t1) down_tile(t0, hb, cur, wk);
+  };
   if (pipelined_schedule(w, pool)) {
     wt.pipelined_runs.add(1);
     wt.blocks.add(nblocks);
@@ -205,22 +202,11 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
         const int hb = std::min(w.H, super_steps - s0);
         if (b > 0 && wk + 1 < nworkers) sync.wait_for(wk + 1, 2 * b);
         test_jitter_stall(wk);
-        for (int kt = t0; kt < t1; ++kt) {
-          up_tile(kt, hb, cur, wk);
-          // Tree walk: the interior inverted wedge at kt needs only the up
-          // wedges at kt-1 and kt — consume their flanks while resident.
-          if (fused && kt > t0) down_tile(kt, hb, cur, wk);
-        }
+        own_tiles(t0, t1, hb, cur, wk);
         sync.publish(wk, 2 * b + 1);
         if (wk > 0) sync.wait_for(wk - 1, 2 * b + 1);
         test_jitter_stall(wk);
-        if (fused) {
-          // Only the boundary wedge at t0 (reads w-1's up flank) is left.
-          if (t0 >= 1 && t0 < t1) down_tile(t0, hb, cur, wk);
-        } else {
-          for (int kt = std::max(1, t0); kt < t1; ++kt)
-            down_tile(kt, hb, cur, wk);
-        }
+        boundary_tile(t0, t1, hb, cur, wk);
         sync.publish(wk, 2 * b + 2);
         cur = (cur + hb) & 1;
       }
@@ -240,30 +226,14 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
     if (pool != nullptr) {
       pool->run([&](int wk) {
         const auto [t0, t1] = place.tiles_of(wk);
-        for (int kt = t0; kt < t1; ++kt) {
-          up_tile(kt, hb, cursor, wk);
-          // Tree walk (see the pipelined path): interior inverted wedges
-          // fuse into the up task; only down(t0) needs the stage barrier.
-          if (fused && kt > t0) down_tile(kt, hb, cursor, wk);
-        }
+        own_tiles(t0, t1, hb, cursor, wk);
       });
       pool->run([&](int wk) {
         const auto [t0, t1] = place.tiles_of(wk);
-        if (fused) {
-          if (t0 >= 1 && t0 < t1) down_tile(t0, hb, cursor, wk);
-        } else {
-          for (int kt = std::max(1, t0); kt < t1; ++kt)
-            down_tile(kt, hb, cursor, wk);
-        }
+        boundary_tile(t0, t1, hb, cursor, wk);
       });
-    } else if (fused) {
-      for (int kt = 0; kt < ntiles; ++kt) {
-        up_tile(kt, hb, cursor, -1);
-        if (kt >= 1) down_tile(kt, hb, cursor, -1);
-      }
     } else {
-      for (int kt = 0; kt < ntiles; ++kt) up_tile(kt, hb, cursor, -1);
-      for (int kt = 1; kt < ntiles; ++kt) down_tile(kt, hb, cursor, -1);
+      own_tiles(0, ntiles, hb, cursor, -1);
     }
     cursor = (cursor + hb) & 1;
   }
@@ -369,7 +339,7 @@ void tl_folded_region_step_1d(const Pattern1D& p, const Pattern1D& lam,
 /// pooled runs are bitwise identical.
 template <int W>
 void tiled1d_impl(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b, const Pattern1D* src,
-                  const FieldView1D* k, int tsteps, const TiledOptions& opt,
+                  const FieldView1D* k, int tsteps, const TilePlan& opt,
                   bool serial = false) {
   const int n = a.n();
   const int r = p.radius();
@@ -446,7 +416,7 @@ void tiled1d_impl(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b
 /// `serial`: see tiled1d_impl().
 template <int W>
 void tiled2d_impl(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps,
-                  const TiledOptions& opt, bool serial = false) {
+                  const TilePlan& opt, bool serial = false) {
   const int ny = a.ny(), nx = a.nx();
   const int r = p.radius();
   const Method mth = opt.method;
@@ -541,7 +511,7 @@ void tiled2d_impl(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b
 /// `serial`: see tiled1d_impl().
 template <int W>
 void tiled3d_impl(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b, int tsteps,
-                  const TiledOptions& opt, bool serial = false) {
+                  const TilePlan& opt, bool serial = false) {
   const int nz = a.nz(), ny = a.ny(), nx = a.nx();
   const int r = p.radius();
   const Method mth = opt.method;
@@ -706,7 +676,8 @@ void run_tile_plan(const Pattern1D& p, const FieldView1D& a, const FieldView1D& 
   // 1-D DLT never engages (tiled_max_radius = -1): the lifted layout's seam
   // couples column 0 to column L-1 across lanes, so column tiles are not
   // spatially local and concurrent wedges would race on the seam. SDSL-1D
-  // therefore runs the untiled lifted kernel (see DESIGN.md).
+  // therefore runs the untiled lifted kernel (see
+  // docs/ARCHITECTURE.md#why-1-d-dlt-is-never-wedge-tiled).
   if (info == nullptr || !tiled_path_engages(*info, p.radius(), sr, a.n())) {
     kernel1d(plan.method, plan.isa)(p, a, b, src, k, tsteps);
     return;
@@ -841,23 +812,6 @@ void run_tile_plan_batch(const Pattern3D& p, const std::vector<TileBatch3D>& ite
       default: tiled3d_impl<1>(p, it.a, it.b, tsteps, plan, true); break;
     }
   });
-}
-
-// Deprecated shims: one release of grace for the pre-ExecutionPlan API.
-
-void run_tiled(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b, const Pattern1D* src,
-               const FieldView1D* k, int tsteps, const TiledOptions& opt) {
-  run_tile_plan(p, a, b, src, k, tsteps, opt);
-}
-
-void run_tiled(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps,
-               const TiledOptions& opt) {
-  run_tile_plan(p, a, b, tsteps, opt);
-}
-
-void run_tiled(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b, int tsteps,
-               const TiledOptions& opt) {
-  run_tile_plan(p, a, b, tsteps, opt);
 }
 
 }  // namespace sf

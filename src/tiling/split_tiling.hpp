@@ -20,9 +20,7 @@
 /// (tile = 0, time_block = 0, threads = 0) it fills with the
 /// negotiate_wedge() heuristics. Deciding *whether* to tile — and feeding
 /// tuned geometry back in — is the job of the ExecutionPlan layer
-/// (core/execution_plan.hpp), which `Solver::run` drives. The historical
-/// `run_tiled`/`TiledOptions` entry points remain as deprecated shims over
-/// the same engine.
+/// (core/execution_plan.hpp), which `Solver::run` drives.
 #pragma once
 
 #include <vector>
@@ -74,20 +72,7 @@ struct TilePlan {
   ///< `SF_PIPELINE` environment default at run time; the Engine resolves it
   ///< at prepare time instead so prepared handles are env-immune and
   ///< plan-cache keyed on the effective value.
-  int levels = 1;
-  ///< Engaged tile-tree depth this plan's geometry was negotiated at
-  ///< (core/execution_plan.hpp TileTree): 1 = flat, >= 2 = `tile` is the
-  ///< LLC-capped mid-level extent and each worker walks several tiles per
-  ///< stage instead of one. Purely descriptive for the scheduler — the
-  ///< wedge set executed is fully determined by tile/time_block/threads,
-  ///< so results are bitwise identical across depths — but the schedule
-  ///< telemetry reports tree runs separately.
 };
-
-/// \deprecated Old name of TilePlan, kept for one release. New code should
-/// spell TilePlan (and reach tiling through `Solver::tiling()` rather than
-/// run_tiled()).
-using TiledOptions = TilePlan;
 
 /// The concrete wedge geometry negotiate_wedge() settles on for one run.
 struct WedgeGeometry {
@@ -198,18 +183,6 @@ void run_tile_plan_batch(const Pattern2D& p, const std::vector<TileBatch2D>& ite
 /// 3-D overload of run_tile_plan_batch(); tiles along z.
 void run_tile_plan_batch(const Pattern3D& p, const std::vector<TileBatch3D>& items,
                          int tsteps, const TilePlan& plan);
-
-/// \deprecated Shim over run_tile_plan(), kept for one release. New code
-/// runs tiled through `Solver::tiling()` (Solver-owned grids) or
-/// run_tile_plan() (caller-owned grids).
-void run_tiled(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b, const Pattern1D* src,
-               const FieldView1D* k, int tsteps, const TiledOptions& opt);
-/// \deprecated 2-D shim over run_tile_plan(), kept for one release.
-void run_tiled(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps,
-               const TiledOptions& opt);
-/// \deprecated 3-D shim over run_tile_plan(), kept for one release.
-void run_tiled(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b, int tsteps,
-               const TiledOptions& opt);
 
 /// The per-element update levels after one up-stage (triangles) and one
 /// down-stage (inverted triangles) of the Fig. 7 tessellation; used by tests

@@ -258,6 +258,58 @@ TEST(Engine, RejectsBadViews) {
   EXPECT_THROW(ps.run(a1.view(), b1.view(), 1), std::invalid_argument);
 }
 
+// Bad plan inputs fail at prepare with the field and value named, instead
+// of being replaced by a default: tile = -7 used to negotiate as auto and
+// tsteps = -3 used to become the preset's 50. 0 still means "default".
+TEST(Engine, RejectsNegativePlanInputsAtPrepare) {
+  Engine& eng = Engine::instance();
+  const StencilSpec& spec = preset(Preset::Heat2D);
+  auto message = [&](Extents ext, const ExecOptions& opts) {
+    try {
+      eng.prepare(spec, ext, opts);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  ExecOptions ok;
+  ok.tsteps = 8;
+  EXPECT_NE(message(Extents{-5, 48}, ok).find("Extents::nx = -5"),
+            std::string::npos);
+  EXPECT_NE(message(Extents{64, -1}, ok).find("Extents::ny = -1"),
+            std::string::npos);
+  ExecOptions bad = ok;
+  bad.tsteps = -3;
+  EXPECT_NE(message(Extents{64, 48}, bad).find("ExecOptions::tsteps = -3"),
+            std::string::npos);
+  bad = ok;
+  bad.tiling = Tiling::On;
+  bad.tile = -7;
+  EXPECT_NE(message(Extents{64, 48}, bad).find("ExecOptions::tile = -7"),
+            std::string::npos);
+  bad = ok;
+  bad.time_block = -2;
+  EXPECT_NE(message(Extents{64, 48}, bad).find("ExecOptions::time_block = -2"),
+            std::string::npos);
+  bad = ok;
+  bad.threads = -4;
+  EXPECT_NE(message(Extents{64, 48}, bad).find("ExecOptions::threads = -4"),
+            std::string::npos);
+  // plan_key() resolves the same request, so it rejects it too; the
+  // Solver facade reaches prepare() and throws there.
+  bad = ok;
+  bad.tile = -7;
+  EXPECT_THROW(eng.plan_key(spec, Extents{64, 48}, bad),
+               std::invalid_argument);
+  EXPECT_THROW(Solver::make(Preset::Heat1D).size(-5).resolve(),
+               std::invalid_argument);
+  EXPECT_THROW(Solver::make(Preset::Heat2D).steps(-3).resolve(),
+               std::invalid_argument);
+  // Zero keeps its meaning of "default".
+  const PreparedStencil def = eng.prepare(spec, Extents{}, ExecOptions{});
+  EXPECT_EQ(def.plan().kernel, &def.kernel());
+}
+
 TEST(Engine, EnforcesSourceArity) {
   PreparedStencil apop = Engine::instance().prepare(Preset::Apop, {}, {});
   PreparedStencil heat = Engine::instance().prepare(Preset::Heat1D, {}, {});

@@ -230,110 +230,30 @@ TEST(ExecutionPlan, PipelineOnOffRunBitwiseIdentical) {
   EXPECT_EQ(result_diff(on.workspace(), off.workspace()), 0.0);
 }
 
-TEST(TileTree, FlatPlansCarryDegenerateTree) {
-  unsetenv("SF_TILE_LEVELS");
+// An explicit tile is how a plan gets an LLC-capped wedge tile. At this
+// shape (Heat2D 96x384, 4 workers, 768-byte slices) 24 planes is the cap
+// llc / (workers * 3 slices) of a 221184-byte LLC, and the plan reports
+// exactly the geometry the former depth-3 tile tree negotiated for it.
+TEST(ExecutionPlan, ExplicitTileReproducesLlcCappedGeometry) {
   Solver s = Solver::make(Preset::Heat2D)
                  .size(96, 384)
                  .steps(16)
                  .method(Method::Ours2)
                  .tiling(Tiling::On)
-                 .threads(4);
+                 .threads(4)
+                 .tile(24);
   const ExecutionPlan& plan = s.plan();
   ASSERT_TRUE(plan.tiled);
-  EXPECT_EQ(plan.tile.levels, 1);
-  EXPECT_TRUE(plan.tree.flat());
-  EXPECT_EQ(plan.tree.depth(), 1);
-  EXPECT_EQ(plan.tree.extent, plan.tile.tile);
-  // Untiled plans leave the tree empty.
-  Solver off = Solver::make(Preset::Heat2D).size(96, 384).steps(16).tiling(
-      Tiling::Off);
-  EXPECT_EQ(off.plan().tree.extent, 0);
-}
-
-// The multi-level negotiation: with a small LLC the mid level caps the
-// wedge tile under the flat heuristic, the stamped tree reports
-// shard/mid/leaf extents outermost-first, and tuned geometry stored at a
-// depth redeploys only at that depth (per-level cache keys).
-TEST(TileTree, NegotiationShapeAndPerLevelRedeploy) {
-  // Heat2D 96x384, 4 workers, slice = 8*96 bytes: cap = llc/(4*3*768) = 24
-  // planes < the flat 96, and 24 >= (2H+1)*slope blocks (H = 5).
-  ASSERT_EQ(setenv("SF_LLC_BYTES", "221184", 1), 0);
-  TuneCache::instance().clear();
-  auto solver_at = [](int levels) {
-    return Solver::make(Preset::Heat2D)
-        .size(96, 384)
-        .steps(16)
-        .method(Method::Ours2)
-        .tiling(Tiling::On)
-        .threads(4)
-        .levels(levels);
-  };
-  Solver flat = solver_at(1);
-  Solver tree = solver_at(3);
-  ASSERT_TRUE(tree.plan().tiled);
-  EXPECT_EQ(flat.plan().tile.levels, 1);
-  EXPECT_EQ(tree.plan().tile.levels, 3);
-  EXPECT_LT(tree.plan().tile.tile, flat.plan().tile.tile);
-  EXPECT_EQ(tree.plan().tile.tile, 24);
-  const TileTree& tt = tree.plan().tree;
-  EXPECT_EQ(tt.depth(), 3);
-  // Outermost = worker shard (>= mid), mid = capped wedge tile, leaf =
-  // the kernel's register block, each level nesting the next.
-  EXPECT_GE(tt.extent, tt.children.front().extent);
-  EXPECT_EQ(tt.children.front().extent, 24);
-  EXPECT_EQ(tt.children.front().children.front().extent,
-            tree.kernel().reg_block());
-  // The capped tile is a *different* wedge geometry than the flat 96, so
-  // flank corrections may round differently — agreement is to verification
-  // tolerance here. (Bitwise identity across depths holds at fixed
-  // geometry: TiledTree.DepthsBitwiseIdentical* and the tiling fuzz.)
-  flat.run();
-  tree.run();
-  EXPECT_LE(result_diff(flat.workspace(), tree.workspace()),
-            1e-11 * std::max(1.0, result_scale(flat.workspace())));
-
-  // Per-level redeploy: a tuned entry recorded at depth 3 deploys for
-  // depth-3 requests only; flat requests keep the heuristic geometry.
-  TuneCache::instance().store(
-      make_tune_key(tree.kernel(), 1, 96, 384, 1, 16, 4, 3),
-      TunedGeometry{48, 10, 0, 2});
-  Solver recalled = solver_at(3);
-  EXPECT_EQ(recalled.plan().source, PlanSource::Cached);
-  EXPECT_EQ(recalled.plan().tile.tile, 48);
-  EXPECT_EQ(recalled.plan().tile.time_block, 10);
-  Solver still_flat = solver_at(1);
-  EXPECT_EQ(still_flat.plan().source, PlanSource::Heuristic);
-  EXPECT_NE(still_flat.plan().tile.tile, 48);
-  TuneCache::instance().clear();
-  unsetenv("SF_LLC_BYTES");
-}
-
-TEST(TileTree, LevelsEnvResolvedAndPlanCacheKeyed) {
-  unsetenv("SF_TILE_LEVELS");
-  Engine& eng = Engine::instance();
-  ExecOptions opts;
-  opts.tiling = Tiling::On;
-  opts.threads = 2;
-  opts.tsteps = 8;
-  ExecOptions one = opts, three = opts;
-  one.levels = 1;
-  three.levels = 3;
-  const Extents ext{96, 64};
-  const StencilSpec& spec = preset(Preset::Heat2D);
-  // Distinct depths are distinct preparations.
-  EXPECT_NE(eng.plan_key(spec, ext, one), eng.plan_key(spec, ext, three));
-  // Unset env: levels = 0 defers to SF_TILE_LEVELS, default flat.
-  EXPECT_EQ(eng.plan_key(spec, ext, opts), eng.plan_key(spec, ext, one));
-  ASSERT_EQ(setenv("SF_TILE_LEVELS", "3", 1), 0);
-  EXPECT_EQ(eng.plan_key(spec, ext, opts), eng.plan_key(spec, ext, three));
-  // Auto picks depth from working set vs LLC: tiny grid stays flat, and
-  // with the LLC pinned below the working set the hierarchy engages.
-  ASSERT_EQ(setenv("SF_TILE_LEVELS", "auto", 1), 0);
-  EXPECT_EQ(eng.plan_key(spec, ext, opts), eng.plan_key(spec, ext, one));
-  ASSERT_EQ(setenv("SF_LLC_BYTES", "4096", 1), 0);
-  EXPECT_EQ(eng.plan_key(spec, ext, opts), eng.plan_key(spec, ext, three));
-  unsetenv("SF_LLC_BYTES");
-  unsetenv("SF_TILE_LEVELS");
+  ASSERT_TRUE(plan.blocked);
+  EXPECT_EQ(plan.source, PlanSource::Heuristic);
+  EXPECT_EQ(plan.tile.tile, 24);
+  EXPECT_EQ(plan.tile.time_block, 10);
+  EXPECT_EQ(plan.tile.threads, 4);
+  EXPECT_EQ(plan.placement.workers, 4);
+  EXPECT_EQ(plan.placement.bounds, (std::vector<int>{0, 4, 8, 12, 16}));
+  RunResult r = s.run_verified();
+  EXPECT_GE(r.max_error, 0.0);
+  EXPECT_LE(r.max_error, 1e-10);
 }
 
 TEST(Registry, TileabilityMetadata) {
@@ -467,60 +387,6 @@ TEST(Tuner, RecordsPairAndThreadAxis) {
   cache.clear();
 }
 
-TEST(Tuner, V1CacheLinesStillParse) {
-  // Pre-thread-axis caches keep working: a v1 line (no tuned_threads
-  // column) loads with threads = 0, i.e. "deploy with the key's count".
-  const std::string path = ::testing::TempDir() + "sf_tune_cache_v1.txt";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("v1 ours-2step 1 2 1 128 96 1 10 4 40 6\n", f);
-  std::fputs("v2 ours-2step 1 2 1 256 96 1 10 4 40 6 2\n", f);
-  std::fputs("v3 ours-2step 1 2 1 384 96 1 10 4 40 6 2 2 8\n", f);
-  std::fclose(f);
-  TuneCache c;
-  EXPECT_EQ(c.load_file(path), 3u);
-  const KernelInfo& k = require_kernel(Method::Ours2, 2, Isa::Avx2);
-  auto v1 = c.lookup(make_tune_key(k, 1, 128, 96, 1, 10, 4));
-  ASSERT_TRUE(v1.has_value());
-  EXPECT_EQ(v1->threads, 0);
-  // Pre-tree v2 lines land at the flat (levels = 1) key with no leaf.
-  auto v2 = c.lookup(make_tune_key(k, 1, 256, 96, 1, 10, 4));
-  ASSERT_TRUE(v2.has_value());
-  EXPECT_EQ(v2->threads, 2);
-  EXPECT_EQ(v2->leaf, 0);
-  // v3 lines carry the tree-depth key axis and the leaf granule — visible
-  // only at their own depth, never at the flat key.
-  auto v3 = c.lookup(make_tune_key(k, 1, 384, 96, 1, 10, 4, 2));
-  ASSERT_TRUE(v3.has_value());
-  EXPECT_EQ(v3->threads, 2);
-  EXPECT_EQ(v3->leaf, 8);
-  EXPECT_FALSE(c.lookup(make_tune_key(k, 1, 384, 96, 1, 10, 4)).has_value());
-  std::remove(path.c_str());
-}
-
-TEST(Tuner, V3RoundTripKeepsLevelsAndLeaf) {
-  TuneCache a;
-  const KernelInfo& k = require_kernel(Method::Ours2, 2, Isa::Avx2);
-  // The same configuration tuned flat and at depth 2: distinct entries.
-  a.store(make_tune_key(k, 1, 128, 96, 1, 10, 4), TunedGeometry{40, 6});
-  a.store(make_tune_key(k, 1, 128, 96, 1, 10, 4, 2),
-          TunedGeometry{24, 4, 0, 4});
-  const std::string path = ::testing::TempDir() + "sf_tune_cache_v3.txt";
-  ASSERT_TRUE(a.save_file(path));
-  TuneCache b;
-  EXPECT_EQ(b.load_file(path), 2u);
-  auto flat = b.lookup(make_tune_key(k, 1, 128, 96, 1, 10, 4));
-  ASSERT_TRUE(flat.has_value());
-  EXPECT_EQ(flat->tile, 40);
-  EXPECT_EQ(flat->leaf, 0);
-  auto tree = b.lookup(make_tune_key(k, 1, 128, 96, 1, 10, 4, 2));
-  ASSERT_TRUE(tree.has_value());
-  EXPECT_EQ(tree->tile, 24);
-  EXPECT_EQ(tree->time_block, 4);
-  EXPECT_EQ(tree->leaf, 4);
-  std::remove(path.c_str());
-}
-
 TEST(Tuner, TunedRunStaysExact) {
   TuneCache::instance().clear();
   RunResult r = Solver::make(Preset::Box2D9)
@@ -542,16 +408,39 @@ TEST(Tuner, DiskRoundTrip) {
       make_tune_key(require_kernel(Method::Ours2, 2, Isa::Avx2), /*radius=*/1,
                     128, 96, 1, 10, 4);
   a.store(key, TunedGeometry{40, 6});
+  // A measured thread count is the last v2 column and round-trips too.
+  const TuneKey threaded =
+      make_tune_key(require_kernel(Method::Ours2, 2, Isa::Avx2), 1, 256, 96,
+                    1, 10, 4);
+  a.store(threaded, TunedGeometry{48, 8, 2});
   const std::string path =
       ::testing::TempDir() + "sf_tune_cache_roundtrip.txt";
   ASSERT_TRUE(a.save_file(path));
+  {
+    // Every entry line carries the v2 tag (the header is a comment).
+    std::FILE* f = std::fopen(path.c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    char line[256];
+    int entries = 0;
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+      if (line[0] == '#') continue;
+      EXPECT_EQ(std::string(line).rfind("v2 ", 0), 0u) << line;
+      ++entries;
+    }
+    std::fclose(f);
+    EXPECT_EQ(entries, 2);
+  }
 
   TuneCache b;
-  EXPECT_EQ(b.load_file(path), 1u);
+  EXPECT_EQ(b.load_file(path), 2u);
   auto hit = b.lookup(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->tile, 40);
   EXPECT_EQ(hit->time_block, 6);
+  EXPECT_EQ(hit->threads, 0);
+  auto thr = b.lookup(threaded);
+  ASSERT_TRUE(thr.has_value());
+  EXPECT_EQ(*thr, (TunedGeometry{48, 8, 2}));
 
   // Later lines win: an appended update shadows its predecessor, which is
   // how the append-only SF_TUNE_CACHE persistence upgrades entries.
@@ -585,13 +474,23 @@ TEST(Tuner, UnparsableLinesAreSkipped) {
   ASSERT_NE(f, nullptr);
   std::fputs("# comment\n", f);
   std::fputs("garbage line\n", f);
-  std::fputs("v1 ours-2step 1 2 1 128 96 1 10 4 40 6\n", f);
-  std::fputs("v1 ours-2step 1 2 1 64 64 1 10 4 40 0\n", f);  // bad tb
+  std::fputs("v2 ours-2step 1 2 1 128 96 1 10 4 40 6 2\n", f);
+  std::fputs("v2 ours-2step 1 2 1 64 64 1 10 4 40 0 0\n", f);  // bad tb
+  std::fputs("v2 ours-2step 1 2 1 64 96 1 10 4 40 6\n", f);  // short
+  // Retired formats: v1 (no tuned_threads), v3 (plus levels and leaf).
+  std::fputs("v1 ours-2step 1 2 1 256 96 1 10 4 40 6\n", f);
+  std::fputs("v3 ours-2step 1 2 1 384 96 1 10 4 40 6 2 2 8\n", f);
   std::fputs("v0 wrong tag 0 0 0 0 0 0 0 0 0\n", f);
   std::fclose(f);
   TuneCache c;
   EXPECT_EQ(c.load_file(path), 1u);
   EXPECT_EQ(c.size(), 1u);
+  const KernelInfo& k = require_kernel(Method::Ours2, 2, Isa::Avx2);
+  auto v2 = c.lookup(make_tune_key(k, 1, 128, 96, 1, 10, 4));
+  ASSERT_TRUE(v2.has_value());
+  EXPECT_EQ(v2->threads, 2);
+  EXPECT_FALSE(c.lookup(make_tune_key(k, 1, 256, 96, 1, 10, 4)).has_value());
+  EXPECT_FALSE(c.lookup(make_tune_key(k, 1, 384, 96, 1, 10, 4)).has_value());
   std::remove(path.c_str());
 }
 

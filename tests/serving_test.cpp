@@ -445,7 +445,12 @@ TEST(Server, RejectsBadRequestsAtSubmitTime) {
   auto f2 = server.submit("t", PreparedStencil{}, wrong_a.view(),
                           wrong_b.view(), kSteps);
   EXPECT_EQ(f2.get().rejected, Reject::BadRequest);
-  EXPECT_EQ(server.stats().rejected, 2);
+  // Negative per-request step count.
+  Grid2D a(64, 72, h), b(64, 72, h);
+  const ServeResult r3 = server.submit("t", ps, a.view(), b.view(), -3).get();
+  EXPECT_EQ(r3.rejected, Reject::BadRequest);
+  EXPECT_NE(r3.error.find("nsteps = -3"), std::string::npos);
+  EXPECT_EQ(server.stats().rejected, 3);
   EXPECT_STREQ(reject_name(Reject::BadRequest), "bad-request");
 }
 

@@ -329,9 +329,7 @@ void fuzz_iteration(std::uint64_t& s, int iter) {
   const int tsteps = fz_in(s, 1, 18);
   const int time_block = fz_in(s, 0, 3) == 0 ? fz_in(s, 1, 10) : 0;
   const int threads = fz_in(s, 2, 8);
-  // Tile-tree depth: >= 2 engages the fused up/down tree walk in every
-  // schedule (serial, barrier, pipelined) — bitwise-invisible by design.
-  const int levels = fz_in(s, 1, 3);
+  fz_in(s, 1, 3);  // retired draw, kept so each seed yields the same cases
   static const Affinity affs[] = {Affinity::None, Affinity::None,
                                   Affinity::Compact, Affinity::Scatter};
   const Affinity aff = affs[fz_in(s, 0, 3)];
@@ -340,11 +338,10 @@ void fuzz_iteration(std::uint64_t& s, int iter) {
                std::to_string(dims) + " method=" + method_name(m) +
                " tsteps=" + std::to_string(tsteps) + " tb=" +
                std::to_string(time_block) + " threads=" +
-               std::to_string(threads) + " levels=" + std::to_string(levels));
+               std::to_string(threads));
   TilePlan base;
   base.method = m;
   base.time_block = time_block;
-  base.levels = levels;
   if (dims == 1) {
     static const Preset presets[] = {Preset::Heat1D, Preset::P1D5,
                                      Preset::Apop};
@@ -384,79 +381,32 @@ TEST(TiledPipeline, FuzzQuick) {
   for (int iter = 0; iter < 36; ++iter) fuzz_iteration(s, iter);
 }
 
-// Tree depth must be execution-invisible: levels 2 and 3 walk the identical
-// wedge set with the fused up/down traversal, so every (depth, schedule,
-// thread-count) combination is bitwise equal to the flat serial run — for
-// regular geometries, degenerate ones (tile > n: a single tile, i.e. a
-// one-child level at every depth), and H = 1 time blocks.
-TEST(TiledTree, DepthsBitwiseIdentical1D) {
-  const auto& spec = preset(Preset::Heat1D);
-  const int halo = require_kernel(Method::Ours2, 1).required_halo(1);
-  struct Case {
+// Fixed shapes of the fused up/down walk, serial == barrier == pipelined
+// bitwise and against the naive reference: regular geometries, a single
+// tile (tile > n), and many tiles per worker at H = 1 (tile 10, slope 2).
+TEST(TiledPipeline, FusedWalkFixedShapes) {
+  TilePlan base;
+  base.method = Method::Ours2;
+  struct Case1D {
     int n, tile, tsteps, threads;
   };
-  for (const Case& c : {Case{700, 96, 12, 4}, Case{300, 400, 9, 3},
-                        Case{420, 10, 7, 5}}) {
+  for (const Case1D& c : {Case1D{700, 96, 12, 4}, Case1D{300, 400, 9, 3},
+                          Case1D{420, 10, 7, 5}}) {
     SCOPED_TRACE("n=" + std::to_string(c.n) + " tile=" +
                  std::to_string(c.tile));
-    TilePlan flat;
-    flat.method = Method::Ours2;
-    flat.tile = c.tile;
-    flat.threads = 1;
-    Grid1D ra(c.n, halo), rb(c.n, halo);
-    fill_random(ra, 77);
-    copy(ra, rb);
-    run_tile_plan(spec.p1, ra, rb, nullptr, nullptr, c.tsteps, flat);
-    for (int levels : {2, 3})
-      for (Pipeline pipe : {Pipeline::Off, Pipeline::On})
-        for (int threads : {1, c.threads}) {
-          SCOPED_TRACE("levels=" + std::to_string(levels) + " piped=" +
-                       std::to_string(pipe == Pipeline::On) + " threads=" +
-                       std::to_string(threads));
-          TilePlan tree = flat;
-          tree.levels = levels;
-          tree.threads = threads;
-          tree.pipeline = pipe;
-          Grid1D ta(c.n, halo), tb(c.n, halo);
-          fill_random(ta, 77);
-          copy(ta, tb);
-          run_tile_plan(spec.p1, ta, tb, nullptr, nullptr, c.tsteps, tree);
-          EXPECT_EQ(max_abs_diff(ta, ra), 0.0);
-        }
+    base.tile = c.tile;
+    check_equiv_1d(preset(Preset::Heat1D), base.method, c.n, c.tsteps,
+                   plan_triple(base, c.threads, Affinity::None), 77);
   }
-}
-
-TEST(TiledTree, DepthsBitwiseIdentical3D) {
-  const auto& spec = preset(Preset::Heat3D);
-  const int halo = require_kernel(Method::Ours2, 3).required_halo(1);
-  struct Case {
+  struct Case3D {
     int nz, tile, tsteps, threads;
   };
-  for (const Case& c : {Case{40, 12, 10, 4}, Case{24, 64, 6, 3}}) {
+  for (const Case3D& c : {Case3D{40, 12, 10, 4}, Case3D{24, 64, 6, 3}}) {
     SCOPED_TRACE("nz=" + std::to_string(c.nz) + " tile=" +
                  std::to_string(c.tile));
-    TilePlan flat;
-    flat.method = Method::Ours2;
-    flat.tile = c.tile;
-    flat.threads = 1;
-    Grid3D ra(c.nz, 20, 16, halo), rb(c.nz, 20, 16, halo);
-    fill_random(ra, 99);
-    copy(ra, rb);
-    run_tile_plan(spec.p3, ra, rb, c.tsteps, flat);
-    for (int levels : {2, 3})
-      for (Pipeline pipe : {Pipeline::Off, Pipeline::On}) {
-        SCOPED_TRACE("levels=" + std::to_string(levels) + " piped=" +
-                     std::to_string(pipe == Pipeline::On));
-        TilePlan tree = flat;
-        tree.levels = levels;
-        tree.threads = c.threads;
-        tree.pipeline = pipe;
-        Grid3D ta(c.nz, 20, 16, halo), tb(c.nz, 20, 16, halo);
-        fill_random(ta, 99);
-        copy(ta, tb);
-        run_tile_plan(spec.p3, ta, tb, c.tsteps, tree);
-        EXPECT_EQ(max_abs_diff(ta, ra), 0.0);
-      }
+    base.tile = c.tile;
+    check_equiv_3d(preset(Preset::Heat3D), base.method, c.nz, 20, 16,
+                   c.tsteps, plan_triple(base, c.threads, Affinity::None), 99);
   }
 }
 
@@ -534,26 +484,6 @@ TEST(TiledPipelineStress, FuzzLong) {
   ASSERT_EQ(setenv("SF_TEST_JITTER", "300", 1), 0);
   for (int iter = 90; iter < 150; ++iter) fuzz_iteration(s, iter);
   unsetenv("SF_TEST_JITTER");
-}
-
-TEST(Tiled, DeprecatedRunTiledShimStillWorks) {
-  // run_tiled must stay a pure delegate of run_tile_plan for one release.
-  const auto& spec = preset(Preset::Heat2D);
-  const int ny = 64, nx = 48, tsteps = 10;
-  const int halo =
-      require_kernel(Method::Ours2, 2).required_halo(spec.p2.radius());
-  Grid2D a(ny, nx, halo), b(ny, nx, halo), ra(ny, nx, halo), rb(ny, nx, halo);
-  fill_random(a, 5);
-  copy(a, b);
-  copy(a, ra);
-  copy(a, rb);
-  TiledOptions opt;  // deprecated alias of TilePlan
-  opt.method = Method::Ours2;
-  opt.tile = 16;
-  opt.threads = 2;
-  run_tiled(spec.p2, a, b, tsteps, opt);
-  run_tile_plan(spec.p2, ra, rb, tsteps, opt);
-  EXPECT_EQ(max_abs_diff(a, ra), 0.0);
 }
 
 }  // namespace
