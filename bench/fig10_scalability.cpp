@@ -8,13 +8,6 @@
 // under which the paper's near-linear scaling reproduces on multi-node
 // machines. Default remains unpinned (identical results; placement only
 // affects locality).
-//
-// The pinned sweep additionally emits an explicit barrier-vs-pipelined
-// A/B of the flagship tiled method: "our-2step(barrier)" runs the
-// historical two-global-barriers-per-block wedge schedule
-// (Pipeline::Off), "our-2step(pipelined)" the point-to-point NeighborSync
-// schedule (Pipeline::On) — bitwise-identical results, so the column pair
-// isolates pure synchronization cost at each core count.
 #include <cstring>
 #include <iostream>
 
@@ -36,14 +29,6 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> header{"cores", "affinity"};
   for (const auto& m : methods) header.push_back(m.label);
-  // The pinned high-thread sweep is where barrier cost shows; give it the
-  // explicit schedule A/B columns.
-  const bool schedule_ab = aff != Affinity::None;
-  const bench::Competitor flagship{"our-2step", "ours-2step", Isa::Avx2};
-  if (schedule_ab) {
-    header.push_back("our-2step(barrier)");
-    header.push_back("our-2step(pipelined)");
-  }
 
   // Machine-readable trajectory: every (stencil, method, cores) GFLOP/s
   // lands in BENCH_fig10.json alongside the CSVs (scripts/bench_summary.py
@@ -58,11 +43,6 @@ int main(int argc, char** argv) {
               << "\n";
     for (int c : cores) {
       std::vector<std::string> row{std::to_string(c), affinity_name(aff)};
-      const auto record = [&](const std::string& label, double gflops) {
-        summary.emplace_back(std::string(spec.name) + "." + label + ".c" +
-                                 std::to_string(c),
-                             gflops);
-      };
       for (const auto& m : methods) {
         if (m.isa == Isa::Avx512 && !cpu_has_avx512()) {
           row.push_back("-");
@@ -71,19 +51,10 @@ int main(int argc, char** argv) {
         Solver s = bench::competitor_solver(m, spec, full);
         s.threads(c).affinity(aff);
         const double gflops = s.run().gflops;
-        record(m.label, gflops);
+        summary.emplace_back(std::string(spec.name) + "." + m.label + ".c" +
+                                 std::to_string(c),
+                             gflops);
         row.push_back(Table::num(gflops));
-      }
-      if (schedule_ab) {
-        for (Pipeline pl : {Pipeline::Off, Pipeline::On}) {
-          Solver s = bench::competitor_solver(flagship, spec, full);
-          s.threads(c).affinity(aff).pipeline(pl);
-          const double gflops = s.run().gflops;
-          record(pl == Pipeline::Off ? "our-2step-barrier"
-                                     : "our-2step-pipelined",
-                 gflops);
-          row.push_back(Table::num(gflops));
-        }
       }
       t.add_row(row);
     }

@@ -9,8 +9,10 @@ Rules (each has a stable id used in findings and in the self-test):
   env-undocumented    every SF_* environment variable read in src/ or bench/
                       (via the common/env.hpp helpers or std::getenv) must
                       have a row in the docs/TUNING.md table.
-  env-stale-doc       every SF_* row in the docs/TUNING.md table must still
-                      be read somewhere in src/ or bench/.
+  env-stale-doc       every backticked `SF_X` or `SF_X=...` in docs/*.md or
+                      README.md (the TUNING.md table included) must still be
+                      read somewhere in src/ or bench/; names #define'd in
+                      src/ (the thread-safety macros) are exempt.
   metric-undocumented every telemetry counter/histogram/sample-log/span name
                       registered in src/ must appear in docs/OBSERVABILITY.md.
   metric-stale-doc    every dotted metric name catalogued in
@@ -87,6 +89,11 @@ ENV_READ_RE = re.compile(
 )
 # A documented variable: a backticked SF_ name in a TUNING.md table row.
 ENV_DOC_RE = re.compile(r"^\|\s*`(SF_[A-Z0-9_]+)`")
+# Any mention in prose or tables: `SF_X`, or an assignment `SF_X=...` (the
+# first name of the code span).
+ENV_MENTION_RE = re.compile(r"`(SF_[A-Z0-9_]+)(?:=[^`]*)?`")
+# Preprocessor names share the SF_ prefix but are not environment variables.
+DEFINE_RE = re.compile(r"^\s*#\s*define\s+(SF_[A-Z0-9_]+)")
 
 
 def collect_env_reads(root, files):
@@ -109,6 +116,30 @@ def collect_env_docs(tuning_md):
     return docs
 
 
+def collect_defines(files):
+    names = set()
+    for path in files:
+        with open(path, encoding="utf-8") as f:
+            for line in f:
+                m = DEFINE_RE.match(line)
+                if m:
+                    names.add(m.group(1))
+    return names
+
+
+def doc_files(root):
+    """docs/*.md plus README.md, the user-facing prose env names appear in."""
+    docs_dir = os.path.join(root, "docs")
+    out = []
+    if os.path.isdir(docs_dir):
+        out = [os.path.join(docs_dir, n) for n in sorted(os.listdir(docs_dir))
+               if n.endswith(".md")]
+    readme = os.path.join(root, "README.md")
+    if os.path.exists(readme):
+        out.append(readme)
+    return out
+
+
 def check_env(root, findings):
     files = source_files(root, ["src", "bench"])
     tuning = os.path.join(root, "docs", "TUNING.md")
@@ -119,12 +150,16 @@ def check_env(root, findings):
             findings.append(Finding(
                 "env-undocumented", path, line,
                 f"{name} is read here but has no row in docs/TUNING.md"))
-    for name, line in sorted(docs.items()):
-        if name not in reads:
-            findings.append(Finding(
-                "env-stale-doc", "docs/TUNING.md", line,
-                f"{name} is documented but no code under src/ or bench/ "
-                f"reads it"))
+    exempt = collect_defines(source_files(root, ["src"]))
+    for doc in doc_files(root):
+        with open(doc, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                for name in sorted(set(ENV_MENTION_RE.findall(line))):
+                    if name not in reads and name not in exempt:
+                        findings.append(Finding(
+                            "env-stale-doc", relpath(root, doc), lineno,
+                            f"{name} is documented but no code under src/ "
+                            f"or bench/ reads it"))
 
 
 # --------------------------------------------------------------------------
@@ -394,6 +429,9 @@ CLEAN_TREE = {
 inline bool env_flag(const char* n) { return std::getenv(n) != nullptr; }
 inline bool demo() { return env_flag("SF_FOO"); }
 """,
+    "src/common/thread_annotations.hpp": """\
+#define SF_GUARDED_BY(x)
+""",
     "src/common/cpu.cpp": """\
 #include <omp.h>
 int threads() { return omp_get_max_threads(); }
@@ -425,6 +463,9 @@ void count() { telemetry::counter("runtime.pool.tasks").add(1); }
 | `SF_FOO` | unset | demo flag |
 | `SF_BAR` | 0 | demo depth |
 """,
+    "README.md": """\
+Set `SF_FOO=1` for the demo flag; members carry `SF_GUARDED_BY`.
+""",
     "docs/OBSERVABILITY.md": """\
 ## Metrics
 
@@ -440,6 +481,8 @@ SEEDS = [
      'bool f() { return env_flag("SF_UNDOCUMENTED"); }\n'),
     ("env-stale-doc", "docs/TUNING.md",
      CLEAN_TREE["docs/TUNING.md"] + "| `SF_GONE` | unset | removed knob |\n"),
+    ("env-stale-doc", "docs/ARCHITECTURE.md",
+     "The retired knob `SF_RETIRED=0` once selected another schedule.\n"),
     ("metric-undocumented", "src/runtime/extra_metric.cpp",
      'void g() { telemetry::counter("runtime.pool.uncatalogued").add(1); }\n'),
     ("metric-stale-doc", "docs/OBSERVABILITY.md",

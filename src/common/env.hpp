@@ -42,12 +42,6 @@
 ///    cap to the configured `max_batch` instead of letting it adapt to the
 ///    observed queue depth (serving/server.hpp). Any other value — including
 ///    unset — keeps adaptation on.
-///  * `SF_PIPELINE=0`     — select the legacy global-barrier wedge schedule
-///    instead of the default point-to-point neighbor pipeline
-///    (tiling/split_tiling.hpp Pipeline) wherever the request leaves
-///    Pipeline::Auto. Results are bitwise identical either way; the knob
-///    exists so the barrier path stays benchmarkable (fig10) and
-///    bisectable.
 ///  * `SF_TEST_JITTER=n`  — test-only fault injection: each pipelined wedge
 ///    stage first sleeps its worker a pseudo-random 0..n microseconds
 ///    (runtime/worker_pool.hpp test_jitter_stall), forcing maximal stage
@@ -133,14 +127,6 @@ inline bool env_validate() {
 /// configured max_batch.
 inline bool env_adaptive_batch() {
   const char* v = std::getenv("SF_ADAPTIVE_BATCH");
-  return v == nullptr || std::string(v) != "0";
-}
-
-/// SF_PIPELINE: false only when the variable is set to exactly "0" — the
-/// escape hatch that puts Pipeline::Auto requests back on the historical
-/// global-barrier wedge schedule.
-inline bool env_pipeline() {
-  const char* v = std::getenv("SF_PIPELINE");
   return v == nullptr || std::string(v) != "0";
 }
 

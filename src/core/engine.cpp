@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -11,9 +12,7 @@
 #include "common/env.hpp"
 #include "core/tuner.hpp"
 #include "fold/cost_model.hpp"
-#include "fold/folding_plan.hpp"
 #include "grid/grid_utils.hpp"
-#include "kernels/kernels3d_impl.hpp"
 #include "layout/transpose_layout.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tiling/split_tiling.hpp"
@@ -824,6 +823,29 @@ void reject_negative(const char* field, long value) {
                                 " is negative (0 selects the default)");
 }
 
+// Field views hold extents and row strides as int. The largest extent they
+// can take is INT_MAX less the widest halo any kernel registered for the
+// stencil's dimensionality may ask for, on both sides, each side rounded up
+// to the 8-double row padding (plus one more padding step for the stride's
+// own round-up). A larger extent would be narrowed later, not rejected.
+long max_view_extent(const StencilSpec& spec) {
+  const int r = effective_radius(spec);
+  long halo = 0;
+  for (const KernelInfo* k : available_kernels(spec.dims))
+    halo = std::max<long>(halo, k->required_halo(r));
+  const long padded_halo = (halo + 7) / 8 * 8;
+  return std::numeric_limits<int>::max() - 2 * padded_halo - 8;
+}
+
+void reject_beyond_int_view(const char* field, long value, long limit) {
+  if (value > limit)
+    throw std::invalid_argument(
+        std::string("Engine::prepare: ") + field + " = " +
+        std::to_string(value) + " exceeds " + std::to_string(limit) +
+        ", the largest extent an int field view holds with this stencil's "
+        "halo and row padding");
+}
+
 // Environment/preset fallback resolution shared by prepare() and
 // plan_key(): the effective request is what both the plan-cache key and the
 // plan-key hash are computed from, so an env change between calls is never
@@ -833,6 +855,10 @@ void resolve_request(const StencilSpec& spec, Extents& ext, ExecOptions& opts,
   reject_negative("Extents::nx", ext.nx);
   reject_negative("Extents::ny", ext.ny);
   reject_negative("Extents::nz", ext.nz);
+  const long limit = max_view_extent(spec);
+  reject_beyond_int_view("Extents::nx", ext.nx, limit);
+  reject_beyond_int_view("Extents::ny", ext.ny, limit);
+  reject_beyond_int_view("Extents::nz", ext.nz, limit);
   reject_negative("ExecOptions::tsteps", opts.tsteps);
   reject_negative("ExecOptions::threads", opts.threads);
   reject_negative("ExecOptions::tile", opts.tile);
@@ -840,8 +866,6 @@ void resolve_request(const StencilSpec& spec, Extents& ext, ExecOptions& opts,
   if (opts.affinity == Affinity::None) opts.affinity = env_affinity();
   if (opts.threads == 0) opts.threads = env_threads();
   opts.validate = opts.validate && env_validate();
-  if (opts.pipeline == Pipeline::Auto)
-    opts.pipeline = env_pipeline() ? Pipeline::On : Pipeline::Off;
   if (ext.nx == 0) ext.nx = spec.small_size[0];
   if (ext.ny == 0) ext.ny = spec.dims >= 2 ? spec.small_size[1] : 1;
   if (ext.nz == 0) ext.nz = spec.dims >= 3 ? spec.small_size[2] : 1;
@@ -870,7 +894,6 @@ std::uint64_t request_key(std::uint64_t spec_hash, const Extents& ext,
   h = fnv1a(h, static_cast<std::uint64_t>(o.layout));
   h = fnv1a(h, static_cast<std::uint64_t>(o.halo_policy));
   h = fnv1a(h, static_cast<std::uint64_t>(o.affinity));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.pipeline));
   h = fnv1a(h, o.validate ? 1u : 0u);
   return h;
 }
@@ -959,7 +982,6 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
            e.opts.layout == opts.layout &&
            e.opts.halo_policy == opts.halo_policy &&
            e.opts.affinity == opts.affinity &&
-           e.opts.pipeline == opts.pipeline &&
            e.opts.validate == opts.validate &&
            same_spec(e.state->spec, spec);
   };
@@ -1028,31 +1050,15 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
   req.tile = opts.tile;
   req.time_block = opts.time_block;
   req.affinity = opts.affinity;
-  req.pipeline = opts.pipeline;
   st->plan = plan_execution(req);
 
   // Build or reuse the runtime pool the tiled stages will run on (shared
-  // per (threads, affinity), workers parked between tasks), and first-touch
-  // the per-worker workspace slabs on their owners: the 3-D folded stage's
-  // sliding plane window is sized here exactly as folded3d_advance sizes
-  // it, so the first run() finds it allocated — on the right NUMA node —
-  // instead of growing it mid-stage.
-  if (st->plan.tiled && st->plan.blocked && st->plan.tile.threads > 1) {
+  // per (threads, affinity), workers parked between tasks). The per-worker
+  // workspace slabs are first-touched by the wedge schedule's prologue, in
+  // the slot that already overlaps the first super-step
+  // (tiling/split_tiling.cpp), so prepare pays no pool round-trip.
+  if (st->plan.tiled && st->plan.blocked && st->plan.tile.threads > 1)
     st->pool = shared_pool(st->plan.tile.threads, opts.affinity);
-    // Pipelined plans skip the prepare-time dispatch: the wedge schedule's
-    // per-worker prologue first-touches each arena in the slot that already
-    // overlaps the first super-step (tiling/split_tiling.cpp), so paying a
-    // full pool round-trip here would be pure duplicated latency. The
-    // barrier schedule has no prologue, so those plans still pre-size here.
-    if (spec.dims == 3 && st->kernel->method == Method::Ours2 &&
-        opts.pipeline == Pipeline::Off) {
-      const FoldingPlan fold =
-          plan_folding(spec.p3, st->kernel->fold_depth);
-      const detail::Folded3DWindowShape shape = detail::folded3d_window_shape(
-          fold, static_cast<int>(ext.nx), st->kernel->width);
-      st->pool->ensure_arena(shape.nbufs, shape.doubles);
-    }
-  }
 
   CacheEntry entry;
   entry.spec_hash = sh;

@@ -96,14 +96,6 @@ struct ExecOptions {
   ///< leaves workers unpinned — results are bitwise identical across
   ///< policies; placement changes locality only. When left at None the
   ///< process-wide `SF_AFFINITY` default applies.
-  Pipeline pipeline = Pipeline::Auto;
-  ///< Cross-block synchronization of the parallel wedge stages
-  ///< (tiling/split_tiling.hpp Pipeline): point-to-point neighbor sync
-  ///< (On, the default via Auto) or the historical global stage barriers
-  ///< (Off). Results are bitwise identical either way. Auto resolves the
-  ///< process-wide `SF_PIPELINE` default at prepare() time, so prepared
-  ///< handles are env-immune and the plan cache keys on the effective
-  ///< value.
   bool validate = true;
   ///< Per-call FieldView validation in run()/advance(). Default on; the
   ///< debug-only escape hatch (`validate = false`, or `SF_VALIDATE=0`
@@ -276,8 +268,9 @@ class Engine {
   /// Prepares one stencil execution. Unset (0) extents/horizon default to
   /// the spec's preset fast-run values. Throws std::invalid_argument, naming
   /// the field and value, for a negative extent, tsteps, threads, tile or
-  /// time_block, and when no kernel is registered for the requested
-  /// (method, dims, ISA).
+  /// time_block, for an extent too large for an int field view once halo
+  /// and row padding are added, and when no kernel is registered for the
+  /// requested (method, dims, ISA).
   PreparedStencil prepare(const StencilSpec& spec, Extents ext = {},
                           const ExecOptions& opts = {});
   /// Preset convenience overload of prepare().
@@ -303,7 +296,8 @@ class Engine {
   /// SF_THREADS, SF_VALIDATE) and preset extent/horizon fallbacks are
   /// resolved — the same value PreparedStencil::plan_key() reports on the
   /// resulting handle. Lets a batcher group requests before preparing.
-  /// Throws std::invalid_argument for the negative inputs prepare() rejects.
+  /// Throws std::invalid_argument for the negative and oversized inputs
+  /// prepare() rejects.
   std::uint64_t plan_key(const StencilSpec& spec, Extents ext = {},
                          const ExecOptions& opts = {}) const;
 

@@ -52,7 +52,6 @@ WedgeGeometry negotiate(const PlanRequest& req) {
   requested.time_block = req.time_block;
   requested.threads = req.threads;
   requested.affinity = req.affinity;
-  requested.pipeline = req.pipeline;
   const int slope = req.kernel->wedge_slope(pattern_radius(*req.spec));
   return negotiate_wedge(
       static_cast<int>(tiled_extent(*req.spec, req.nx, req.ny, req.nz)),
@@ -128,7 +127,6 @@ ExecutionPlan plan_execution(const PlanRequest& req) {
   plan.tile.time_block = g.time_block;
   plan.tile.threads = g.threads;
   plan.tile.affinity = req.affinity;
-  plan.tile.pipeline = req.pipeline;
   // Explicit geometry outranks the cache; a fully-auto request recalls any
   // previously-measured result for this configuration — exact shape first,
   // then the quarter-octave shape bucket (core/tuner.hpp tune_bucket), so

@@ -63,10 +63,6 @@ struct PlanRequest {
   Affinity affinity = Affinity::None;  ///< Worker placement policy (the
                                        ///< Engine resolves SF_AFFINITY
                                        ///< before building the request).
-  Pipeline pipeline = Pipeline::Auto;  ///< Wedge-stage synchronization
-                                       ///< (the Engine resolves SF_PIPELINE
-                                       ///< before building the request;
-                                       ///< Auto defers to run time).
 };
 
 /// How one Solver run will execute: untiled kernel call, or the split-tiled

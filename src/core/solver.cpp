@@ -162,13 +162,6 @@ Solver& Solver::affinity(Affinity a) {
   return *this;
 }
 
-Solver& Solver::pipeline(Pipeline p) {
-  cfg_.pipeline = p;
-  selected_ = nullptr;
-  prepared_ = PreparedStencil{};
-  return *this;
-}
-
 Solver& Solver::tile(int extent) {
   cfg_.tile = extent;
   selected_ = nullptr;
@@ -243,7 +236,6 @@ ExecOptions Solver::exec_options() const {
   o.time_block = cfg_.time_block;
   o.tsteps = cfg_.tsteps;
   o.affinity = cfg_.affinity;
-  o.pipeline = cfg_.pipeline;
   return o;
 }
 
@@ -260,7 +252,6 @@ PlanRequest Solver::plan_request() const {
   req.tile = cfg_.tile;
   req.time_block = cfg_.time_block;
   req.affinity = cfg_.affinity;
-  req.pipeline = cfg_.pipeline;
   return req;
 }
 

@@ -139,12 +139,6 @@ class Solver {
   /// allocated first-touch: each pinned worker touches its own tiles'
   /// pages, so they land on its NUMA node.
   Solver& affinity(Affinity a);
-  /// Cross-block synchronization of the parallel wedge stages: Pipeline::On
-  /// (point-to-point neighbor sync, the default via Auto and `SF_PIPELINE`)
-  /// or Pipeline::Off (the historical global stage barriers). Results are
-  /// bitwise identical either way; Off keeps the barrier schedule
-  /// selectable for comparison benchmarks.
-  Solver& pipeline(Pipeline p);
   /// Explicit tile extent along the tiled dimension (0 = negotiate/tune).
   Solver& tile(int extent);
   /// Explicit time steps per block (0 = negotiate/tune).
@@ -224,7 +218,6 @@ class Solver {
     int tile = 0;
     int time_block = 0;
     Affinity affinity = Affinity::None;
-    Pipeline pipeline = Pipeline::Auto;
     bool tune = false;
     bool resident = false;
     std::uint64_t seed = 42;

@@ -179,7 +179,7 @@ class WorkerPool {
   /// cannot degrade to the inline serial execution nested run() uses
   /// (worker w's waits on w+1 could never be satisfied in index order), so
   /// a nested call throws std::logic_error. Callers gate on
-  /// on_worker_thread() and fall back to their barrier path.
+  /// on_worker_thread() and walk their schedule inline instead.
   void run_pipelined(const std::function<void(int, NeighborSync&)>& fn);
 
   /// True when the calling thread is one of this pool's workers (a nested
@@ -192,26 +192,21 @@ class WorkerPool {
   void parallel_for(int begin, int end, const std::function<void(int)>& fn);
 
   /// Worker `w`'s scratch-buffer arena. The buffers live for the pool's
-  /// lifetime and are allocated *by* worker `w` (ensure_arena), so their
-  /// pages are first-touched on the worker's NUMA node. The tiled 3-D
+  /// lifetime and are allocated *by* worker `w` (ensure_arena_local), so
+  /// their pages are first-touched on the worker's NUMA node. The tiled 3-D
   /// folded stage keeps its sliding plane window here.
   std::vector<AlignedBuffer>& arena(int w) {
     return workers_[static_cast<std::size_t>(w)].arena;
   }
 
-  /// Ensures every worker's arena holds exactly `nbufs` buffers of at
-  /// least `doubles_each` doubles, (re)allocated on the owning worker so
-  /// first touch places the pages. No-op when already satisfied (the
-  /// workspace survives across Engine::prepare calls and runs).
-  void ensure_arena(std::size_t nbufs, std::size_t doubles_each);
-
-  /// Worker-side body of ensure_arena() for a single arena: checks, and if
-  /// needed (re)allocates + zeroes, worker `w`'s arena. Must be called from
-  /// a task already running on worker `w` (arenas are worker-owned; only
-  /// the owner may inspect or resize its vector) — the pipelined wedge
-  /// prologue uses this to fold the first-touch zeroing into the slot that
-  /// already overlaps the first super-step instead of paying a separate
-  /// pool dispatch at prepare time.
+  /// Ensures worker `w`'s arena holds exactly `nbufs` buffers of at least
+  /// `doubles_each` doubles, (re)allocating and zeroing them when not (a
+  /// no-op when already satisfied: the workspace survives across runs).
+  /// Must be called from a task already running on worker `w` (arenas are
+  /// worker-owned; only the owner may inspect or resize its vector, and
+  /// its first touch places the pages on the worker's NUMA node) — the
+  /// pipelined wedge prologue uses this to fold the first-touch zeroing
+  /// into the slot that already overlaps the first super-step.
   void ensure_arena_local(int w, std::size_t nbufs, std::size_t doubles_each);
 
  private:

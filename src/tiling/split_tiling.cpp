@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/env.hpp"
 #include "fold/folding_plan.hpp"
 #include "grid/grid_utils.hpp"
 #include "kernels/kernels2d_impl.hpp"
@@ -40,8 +39,7 @@ struct WedgePlan {
   int H = 0;      // super-steps per time block
   int threads = 1;
   Affinity affinity = Affinity::None;
-  bool blocked = true;   // false: domain too small, run unblocked
-  bool pipeline = true;  // false: legacy global-barrier stage schedule
+  bool blocked = true;  // false: domain too small, run unblocked
 };
 
 /// Internal view of negotiate_wedge() with time measured in super-steps.
@@ -58,28 +56,22 @@ WedgePlan make_plan(int n, int slope, int super_steps, const TilePlan& opt,
   w.threads = g.threads;
   w.affinity = opt.affinity;
   w.blocked = g.blocked;
-  w.pipeline = opt.pipeline == Pipeline::On ||
-               (opt.pipeline == Pipeline::Auto && env_pipeline());
   return w;
 }
 
-/// True when the wedge schedule will run its point-to-point pipelined path:
-/// a real pool, more than one worker, the plan asks for it, and the caller
-/// is not itself a worker of that pool (a nested pipelined task cannot run
-/// inline — worker w's waits on w+1 would never be satisfied in index
-/// order — so nested runs keep the barrier schedule, which degrades to
-/// inline serial stages safely).
-bool pipelined_schedule(const WedgePlan& w, WorkerPool* pool) {
-  return pool != nullptr && w.pipeline && pool->threads() > 1 &&
-         !pool->on_worker_thread();
-}
-
 /// The pool of a wedge plan: the shared (threads, affinity) pool for
-/// parallel blocked runs, none for serial ones (a one-worker stage runs
-/// inline on the calling thread, exactly like the old OpenMP master).
+/// parallel blocked runs, none otherwise. A non-null pool therefore always
+/// has more than one worker and the caller is not one of them, which is
+/// exactly when wedge_schedule() runs pipelined. Serial runs walk inline on
+/// the calling thread, and so do runs nested on one of the pool's own
+/// workers: a nested pipelined task cannot run inline (worker w's waits on
+/// w+1 would never be satisfied in index order), and the pool's per-worker
+/// arenas belong to the workers, not to a task nested on one of them.
 std::shared_ptr<WorkerPool> plan_pool(const WedgePlan& w) {
   if (!w.blocked || w.threads <= 1) return nullptr;
-  return shared_pool(w.threads, w.affinity);
+  std::shared_ptr<WorkerPool> pool = shared_pool(w.threads, w.affinity);
+  if (pool->on_worker_thread()) return nullptr;
+  return pool;
 }
 
 /// The generic wedge schedule (tiles = triangles, boundaries = inverted
@@ -103,20 +95,17 @@ std::shared_ptr<WorkerPool> plan_pool(const WedgePlan& w) {
 /// rows the down wedge consumes are the ones the two preceding up wedges
 /// just wrote — a reuse distance of one tile, not the worker's whole range.
 /// Only the boundary wedge at t0 reads another worker's rows; it runs after
-/// the neighbor wait (or the stage barrier). Each (row, parity) value is
-/// written exactly once per block by the same adv call whatever the order,
-/// so results are bitwise equal to sweeping all ups before all downs.
+/// the neighbor wait. Each (row, parity) value is written exactly once per
+/// block by the same adv call whatever the order, so results are bitwise
+/// equal to sweeping all ups before all downs.
 ///
-/// Two schedules execute that wedge set (bitwise-identical results; only
-/// the waiting differs):
+/// Two paths execute that wedge set (bitwise-identical results):
 ///
-///  * Barrier (w.pipeline false, or serial, or nested-on-pool): stages run
-///    as pool tasks; the barrier between the own-tile stage (all up wedges
-///    plus the interior inverted ones) and the boundary stage (the inverted
-///    wedge at t0) is the pool task boundary. Serial runs walk every tile
-///    as one range, so only tile 0's boundary exists and it has no wedge.
+///  * Inline (pool == nullptr: serial or nested-on-pool runs, see
+///    plan_pool()): the calling thread walks every tile as one range, so
+///    only tile 0's boundary exists and it has no wedge.
 ///
-///  * Pipelined (pipelined_schedule()): one long-lived task per worker with
+///  * Pipelined (pool != nullptr): one long-lived task per worker with
 ///    point-to-point NeighborSync counters. Worker w publishes seq = 2b+1
 ///    after its own-tile stage of block b and seq = 2b+2 after its boundary
 ///    stage. With contiguous ownership exactly two waits cover every
@@ -133,7 +122,7 @@ std::shared_ptr<WorkerPool> plan_pool(const WedgePlan& w) {
 ///
 /// `prologue(t0, t1, wk)`, when set, runs on each worker before its first
 /// own-tile stage (pipelined path only — callers must gate on
-/// pipelined_schedule()): the resident-layout transform of the worker's own
+/// pool != nullptr): the resident-layout transform of the worker's own
 /// rows overlaps the first super-step instead of serializing in front of
 /// it. No extra sync edge is needed: own-tile(0) reads only the worker's
 /// own rows (plus domain-end halo rows, owned by the same edge worker), and
@@ -145,16 +134,14 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
                    const std::function<void(int, int, int)>& prologue = {}) {
   G* bufs[2] = {&a, &b};
   const int ntiles = (w.n + w.tile - 1) / w.tile;
-  const int nworkers = pool != nullptr ? pool->threads() : 1;
-  const PlacementPlan place = balanced_placement(ntiles, nworkers, w.affinity);
   // Schedule-shape telemetry, resolved once per process at the first tiled
   // run (function-local statics: the wedge entry is too hot for a registry
   // lookup per call). One add per *schedule*, never per tile or cell.
   struct WedgeTelemetry {
     telemetry::Counter pipelined_runs =
         telemetry::counter("tiling.wedge.pipelined_runs");
-    telemetry::Counter barrier_runs =
-        telemetry::counter("tiling.wedge.barrier_runs");
+    telemetry::Counter serial_runs =
+        telemetry::counter("tiling.wedge.serial_runs");
     telemetry::Counter blocks = telemetry::counter("tiling.wedge.blocks");
   };
   static const WedgeTelemetry wt;
@@ -189,10 +176,13 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
   auto boundary_tile = [&](int t0, int t1, int hb, int cur, int wk) {
     if (t0 >= 1 && t0 < t1) down_tile(t0, hb, cur, wk);
   };
-  if (pipelined_schedule(w, pool)) {
+  wt.blocks.add(nblocks);
+  if (pool != nullptr) {
     wt.pipelined_runs.add(1);
-    wt.blocks.add(nblocks);
     telemetry::Span span("tiling.wedge.pipelined");
+    const int nworkers = pool->threads();
+    const PlacementPlan place =
+        balanced_placement(ntiles, nworkers, w.affinity);
     pool->run_pipelined([&](int wk, NeighborSync& sync) {
       const auto [t0, t1] = place.tiles_of(wk);
       if (prologue) prologue(t0, t1, wk);
@@ -217,24 +207,12 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
       cursor = (cursor + std::min(w.H, super_steps - s0)) & 1;
     return cursor;
   }
-  wt.barrier_runs.add(1);
-  wt.blocks.add(nblocks);
-  telemetry::Span span("tiling.wedge.barrier");
+  wt.serial_runs.add(1);
+  telemetry::Span span("tiling.wedge.serial");
   int cursor = 0;
   for (int s0 = 0; s0 < super_steps; s0 += w.H) {
     const int hb = std::min(w.H, super_steps - s0);
-    if (pool != nullptr) {
-      pool->run([&](int wk) {
-        const auto [t0, t1] = place.tiles_of(wk);
-        own_tiles(t0, t1, hb, cursor, wk);
-      });
-      pool->run([&](int wk) {
-        const auto [t0, t1] = place.tiles_of(wk);
-        boundary_tile(t0, t1, hb, cursor, wk);
-      });
-    } else {
-      own_tiles(0, ntiles, hb, cursor, -1);
-    }
+    own_tiles(0, ntiles, hb, cursor, -1);
     cursor = (cursor + hb) & 1;
   }
   return cursor;
@@ -333,10 +311,10 @@ void tl_folded_region_step_1d(const Pattern1D& p, const Pattern1D& lam,
 
 /// `serial` forces the whole run onto the calling thread (no pool
 /// dispatch): the batched entry runs each item this way on the pool worker
-/// that owns it, so nested stage parallelism (and the arena races a nested
-/// inline run() would cause for the 3-D folded window) never arises. The
-/// wedge geometry is negotiated identically either way, so serial and
-/// pooled runs are bitwise identical.
+/// that owns it without a pool lookup per item (plan_pool() would walk it
+/// inline anyway, as a run nested on the pool). The wedge geometry is
+/// negotiated identically either way, so serial and pooled runs are
+/// bitwise identical.
 template <int W>
 void tiled1d_impl(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b, const Pattern1D* src,
                   const FieldView1D* k, int tsteps, const TilePlan& opt,
@@ -432,11 +410,10 @@ void tiled2d_impl(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b
                           sizeof(double) * static_cast<long>(nx));
   const std::shared_ptr<WorkerPool> pool = serial ? nullptr : plan_pool(w);
 
-  // Pipelined blocked runs fold the to-layout transform into the schedule
-  // itself (each worker transposes its own rows as the wedge prologue — see
+  // Pipelined runs fold the to-layout transform into the schedule itself
+  // (each worker transposes its own rows as the wedge prologue — see
   // wedge_schedule) instead of serializing it in front of the first stage.
-  const bool overlap_layout =
-      tl && !resident && w.blocked && pipelined_schedule(w, pool.get());
+  const bool overlap_layout = tl && !resident && pool != nullptr;
   if (tl && !resident && !overlap_layout) {
     grid_transpose_layout<W>(a);
     grid_transpose_layout<W>(b);
@@ -528,10 +505,9 @@ void tiled3d_impl(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b
       sizeof(double) * static_cast<long>(ny) * static_cast<long>(nx));
   const std::shared_ptr<WorkerPool> pool = serial ? nullptr : plan_pool(w);
 
-  // See tiled2d_impl: pipelined blocked runs transpose per worker inside
-  // the schedule prologue instead of upfront.
-  const bool overlap_layout =
-      tl && !resident && w.blocked && pipelined_schedule(w, pool.get());
+  // See tiled2d_impl: pipelined runs transpose per worker inside the
+  // schedule prologue instead of upfront.
+  const bool overlap_layout = tl && !resident && pool != nullptr;
   if (tl && !resident && !overlap_layout) {
     grid_transpose_layout<W>(a);
     grid_transpose_layout<W>(b);
@@ -551,12 +527,11 @@ void tiled3d_impl(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b
         break;
       case Method::Ours2: {
         // The sliding plane window lives in the owning worker's pool arena
-        // (allocated there, so its pages sit on the worker's NUMA node;
-        // Engine::prepare pre-sizes it). Off-pool callers fall back to a
-        // calling-thread-local window.
+        // (sized there by the prologue, so its pages sit on the worker's
+        // NUMA node). Inline runs use a calling-thread-local window.
         thread_local std::vector<AlignedBuffer> tls_window;
         std::vector<AlignedBuffer>& window =
-            pool != nullptr && wk >= 0 ? pool->arena(wk) : tls_window;
+            pool != nullptr ? pool->arena(wk) : tls_window;
         folded3d_advance<W>(p, plan, lam, in, out, window, lo, hi);
         break;
       }
@@ -574,10 +549,8 @@ void tiled3d_impl(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b
     // Pipelined folded runs first-touch the per-worker plane window in the
     // prologue slot that already overlaps the first super-step — the same
     // down(0) transitive wait orders it, so no extra sync edge and no
-    // separate pool dispatch ahead of the run (Engine::prepare only
-    // pre-sizes arenas for barrier-mode plans).
-    const bool overlap_arena = mth == Method::Ours2 && pool != nullptr &&
-                               pipelined_schedule(w, pool.get());
+    // separate pool dispatch ahead of the run.
+    const bool overlap_arena = mth == Method::Ours2 && pool != nullptr;
     const detail::Folded3DWindowShape window_shape =
         overlap_arena ? detail::folded3d_window_shape(plan, nx, W)
                       : detail::Folded3DWindowShape{};

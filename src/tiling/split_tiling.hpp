@@ -34,20 +34,6 @@
 
 namespace sf {
 
-/// How the parallel wedge stages synchronize across the time blocks of one
-/// run. Results are bitwise identical either way — the schedules execute
-/// the same wedges with the same operand levels; only the waiting changes.
-enum class Pipeline {
-  Auto,  ///< Resolve from the process-wide `SF_PIPELINE` default (on unless
-         ///< the variable is set to exactly "0").
-  On,    ///< Point-to-point neighbor sync (NeighborSync): worker w waits
-         ///< only until w-1/w+1 published the boundary wedges it reads, so
-         ///< fast workers pipeline into the next super-step while slow ones
-         ///< finish.
-  Off,   ///< The historical schedule: a global pool barrier after each up
-         ///< and each down stage (two per time block).
-};
-
 /// One split-tiling execution request. Zero-valued geometry fields mean
 /// "negotiate": the engine fills them via negotiate_wedge(); the
 /// ExecutionPlan layer fills them from its cost model or the tuner cache
@@ -67,11 +53,6 @@ struct TilePlan {
   ///< (threads, affinity), so a prepared Engine run and a direct
   ///< run_tile_plan() call land on the same pinned workers. Results are
   ///< bitwise identical across policies; only locality changes.
-  Pipeline pipeline = Pipeline::Auto;
-  ///< Cross-block stage synchronization (see Pipeline). Auto defers to the
-  ///< `SF_PIPELINE` environment default at run time; the Engine resolves it
-  ///< at prepare time instead so prepared handles are env-immune and
-  ///< plan-cache keyed on the effective value.
 };
 
 /// The concrete wedge geometry negotiate_wedge() settles on for one run.

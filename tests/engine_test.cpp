@@ -310,6 +310,41 @@ TEST(Engine, RejectsNegativePlanInputsAtPrepare) {
   EXPECT_EQ(def.plan().kernel, &def.kernel());
 }
 
+// Field views hold int extents and strides: an extent that cannot fit once
+// halo and row padding are added is rejected at prepare, naming the field
+// and value, instead of being narrowed later.
+TEST(Engine, RejectsExtentsBeyondIntViews) {
+  Engine& eng = Engine::instance();
+  const StencilSpec& spec = preset(Preset::Heat3D);
+  auto message = [&](Extents ext) {
+    try {
+      eng.prepare(spec, ext, ExecOptions{});
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  const long big = 3'000'000'000L;
+  EXPECT_NE(message(Extents{big, 16, 16}).find("Extents::nx = 3000000000"),
+            std::string::npos);
+  EXPECT_NE(message(Extents{16, big, 16}).find("Extents::ny = 3000000000"),
+            std::string::npos);
+  EXPECT_NE(message(Extents{16, 16, big}).find("Extents::nz = 3000000000"),
+            std::string::npos);
+  // INT_MAX itself fits an int but not with a halo on both sides.
+  const long int_max = std::numeric_limits<int>::max();
+  EXPECT_NE(message(Extents{int_max, 16, 16}).find("Extents::nx = "),
+            std::string::npos);
+  // plan_key() and the Solver facade resolve the same request.
+  EXPECT_THROW(eng.plan_key(spec, Extents{16, 16, big}, ExecOptions{}),
+               std::invalid_argument);
+  EXPECT_THROW(Solver::make(Preset::Heat1D).size(big).resolve(),
+               std::invalid_argument);
+  // Large extents that still fit are keyed, not rejected.
+  EXPECT_NO_THROW(eng.plan_key(spec, Extents{int_max / 2, 16, 16},
+                               ExecOptions{}));
+}
+
 TEST(Engine, EnforcesSourceArity) {
   PreparedStencil apop = Engine::instance().prepare(Preset::Apop, {}, {});
   PreparedStencil heat = Engine::instance().prepare(Preset::Heat1D, {}, {});

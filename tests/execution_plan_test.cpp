@@ -175,61 +175,6 @@ TEST(ExecutionPlan, ExplicitGeometryOutranksNegotiation) {
   EXPECT_LE(r.max_error, 1e-10);
 }
 
-TEST(ExecutionPlan, PipelineAxisStampedAndPlanCacheKeyed) {
-  unsetenv("SF_PIPELINE");
-  Engine& eng = Engine::instance();
-  ExecOptions opts;
-  opts.tiling = Tiling::On;
-  opts.threads = 2;
-  opts.tsteps = 8;
-  // Auto resolves from the (unset) env default: pipelined on.
-  PreparedStencil auto_ps =
-      eng.prepare(Preset::Heat2D, Extents{96, 64}, opts);
-  ASSERT_TRUE(auto_ps.plan().tiled);
-  EXPECT_EQ(auto_ps.plan().tile.pipeline, Pipeline::On);
-  // Explicit On / Off are distinct preparations with distinct plan keys —
-  // the sync schedule changes run-time behavior, so they must never share
-  // a cache entry.
-  ExecOptions on = opts, off = opts;
-  on.pipeline = Pipeline::On;
-  off.pipeline = Pipeline::Off;
-  PreparedStencil ps_on = eng.prepare(Preset::Heat2D, Extents{96, 64}, on);
-  PreparedStencil ps_off = eng.prepare(Preset::Heat2D, Extents{96, 64}, off);
-  EXPECT_EQ(ps_on.plan().tile.pipeline, Pipeline::On);
-  EXPECT_EQ(ps_off.plan().tile.pipeline, Pipeline::Off);
-  EXPECT_NE(eng.plan_key(preset(Preset::Heat2D), Extents{96, 64}, on),
-            eng.plan_key(preset(Preset::Heat2D), Extents{96, 64}, off));
-  // Auto == On while the env default is on (same effective request)...
-  EXPECT_EQ(eng.plan_key(preset(Preset::Heat2D), Extents{96, 64}, opts),
-            eng.plan_key(preset(Preset::Heat2D), Extents{96, 64}, on));
-  // ...and flips to the barrier key when SF_PIPELINE=0.
-  ASSERT_EQ(setenv("SF_PIPELINE", "0", 1), 0);
-  EXPECT_EQ(eng.plan_key(preset(Preset::Heat2D), Extents{96, 64}, opts),
-            eng.plan_key(preset(Preset::Heat2D), Extents{96, 64}, off));
-  PreparedStencil env_off =
-      eng.prepare(Preset::Heat2D, Extents{96, 64}, opts);
-  EXPECT_EQ(env_off.plan().tile.pipeline, Pipeline::Off);
-  unsetenv("SF_PIPELINE");
-}
-
-TEST(ExecutionPlan, PipelineOnOffRunBitwiseIdentical) {
-  Solver on = Solver::make(Preset::Heat3D)
-                  .size(36, 24, 20)
-                  .steps(8)
-                  .tiling(Tiling::On)
-                  .threads(4)
-                  .pipeline(Pipeline::On);
-  Solver off = Solver::make(Preset::Heat3D)
-                   .size(36, 24, 20)
-                   .steps(8)
-                   .tiling(Tiling::On)
-                   .threads(4)
-                   .pipeline(Pipeline::Off);
-  on.run();
-  off.run();
-  EXPECT_EQ(result_diff(on.workspace(), off.workspace()), 0.0);
-}
-
 // An explicit tile is how a plan gets an LLC-capped wedge tile. At this
 // shape (Heat2D 96x384, 4 workers, 768-byte slices) 24 planes is the cap
 // llc / (workers * 3 slices) of a 221184-byte LLC, and the plan reports

@@ -213,7 +213,10 @@ TEST(WorkerPool, OversubscriptionCompletes) {
 
 TEST(WorkerPool, ArenaAllocatedPerWorker) {
   WorkerPool pool(2, Affinity::None);
-  pool.ensure_arena(3, 256);
+  const auto ensure = [&pool] {
+    pool.run([&pool](int w) { pool.ensure_arena_local(w, 3, 256); });
+  };
+  ensure();
   for (int w = 0; w < 2; ++w) {
     ASSERT_EQ(pool.arena(w).size(), 3u);
     EXPECT_GE(pool.arena(w)[0].size(), 256u);
@@ -222,7 +225,7 @@ TEST(WorkerPool, ArenaAllocatedPerWorker) {
   EXPECT_NE(pool.arena(0)[0].data(), pool.arena(1)[0].data());
   // Re-ensuring with satisfied sizes keeps the buffers (pointer-stable).
   const double* p0 = pool.arena(0)[0].data();
-  pool.ensure_arena(3, 256);
+  ensure();
   EXPECT_EQ(pool.arena(0)[0].data(), p0);
 }
 
@@ -623,32 +626,32 @@ TEST(WorkerPool, PipelinedSurvivesJitter) {
 
 // Stress (ctest label `stress`): long adversarial runs — heavy jitter,
 // oversubscribed + pinned workers, full pipelined advances through the
-// tiling engine compared bitwise against the barrier schedule.
+// tiling engine compared bitwise against the serial walk of the same
+// geometry.
 TEST(WorkerPoolStress, JitterAdversarialSkewBitwise) {
   ASSERT_EQ(setenv("SF_TEST_JITTER", "1500", 1), 0);
   const auto& spec = preset(Preset::Heat2D);
   const int ny = 128, nx = 64, tsteps = 24;
   const int halo =
       require_kernel(Method::Ours2, 2).required_halo(spec.p2.radius());
-  TilePlan barrier;
-  barrier.method = Method::Ours2;
-  barrier.tile = 16;
-  barrier.threads = 6;
-  barrier.pipeline = Pipeline::Off;
+  TilePlan serial;
+  serial.method = Method::Ours2;
+  serial.tile = 16;
+  serial.threads = 1;
   for (Affinity aff : {Affinity::None, Affinity::Compact, Affinity::Scatter}) {
-    barrier.affinity = aff;
-    TilePlan piped = barrier;
-    piped.pipeline = Pipeline::On;
+    TilePlan piped = serial;
+    piped.threads = 6;
+    piped.affinity = aff;
     for (int rep = 0; rep < 6; ++rep) {
-      Grid2D ba(ny, nx, halo), bb(ny, nx, halo), pa(ny, nx, halo),
+      Grid2D sa(ny, nx, halo), sb(ny, nx, halo), pa(ny, nx, halo),
           pb(ny, nx, halo);
-      fill_random(ba, 100 + rep);
+      fill_random(sa, 100 + rep);
       fill_random(pa, 100 + rep);
-      copy(ba, bb);
+      copy(sa, sb);
       copy(pa, pb);
-      run_tile_plan(spec.p2, ba, bb, tsteps, barrier);
+      run_tile_plan(spec.p2, sa, sb, tsteps, serial);
       run_tile_plan(spec.p2, pa, pb, tsteps, piped);
-      EXPECT_EQ(max_abs_diff(pa, ba), 0.0)
+      EXPECT_EQ(max_abs_diff(pa, sa), 0.0)
           << affinity_name(aff) << " rep " << rep;
     }
   }

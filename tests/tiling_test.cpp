@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/cpu.hpp"
 #include "grid/grid_utils.hpp"
@@ -143,8 +144,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Tiled, ::testing::ValuesIn(make_cases()),
                          case_name);
 
 TEST(Tiled, ThreadCountInvariance) {
-  // Same bit-exact result for 1, 2 and 8 threads (stages are barriers; tiles
-  // are disjoint).
+  // Same bit-exact result for 1, 2 and 8 threads (neighbor waits order the
+  // stages; tiles are disjoint).
   const auto& spec = preset(Preset::Box2D9);
   const int ny = 96, nx = 64, tsteps = 12;
   const int halo = require_kernel(Method::Ours2, 2).required_halo(spec.p2.radius());
@@ -217,7 +218,7 @@ TEST(Tiled, NegotiateWedgeRespectsOverridesAndBlocks) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined wedge schedule: serial == barrier == pipelined, bitwise
+// Pipelined wedge schedule: serial == pipelined, bitwise
 // ---------------------------------------------------------------------------
 
 // xorshift64: deterministic across platforms, no <random> seeding quirks.
@@ -232,28 +233,26 @@ int fz_in(std::uint64_t& s, int lo, int hi) {  // uniform-ish in [lo, hi]
                                static_cast<std::uint64_t>(hi - lo + 1));
 }
 
-/// The three TilePlans of one equivalence check. `base` carries
+/// The two TilePlans of one equivalence check: the inline serial walk and
+/// the pipelined schedule over `threads` workers. `base` carries
 /// method/tile/time_block: an *explicit* tile is required — auto geometry
 /// negotiates per thread count and the runs would legitimately differ.
-struct PlanTriple {
-  TilePlan serial, barrier, piped;
+struct PlanPair {
+  TilePlan serial, piped;
 };
-PlanTriple plan_triple(const TilePlan& base, int threads, Affinity aff) {
-  PlanTriple t;
+PlanPair plan_pair(const TilePlan& base, int threads, Affinity aff) {
+  PlanPair t;
   t.serial = base;
   t.serial.threads = 1;
   t.serial.affinity = Affinity::None;
-  t.barrier = base;
-  t.barrier.threads = threads;
-  t.barrier.affinity = aff;
-  t.barrier.pipeline = Pipeline::Off;
-  t.piped = t.barrier;
-  t.piped.pipeline = Pipeline::On;
+  t.piped = base;
+  t.piped.threads = threads;
+  t.piped.affinity = aff;
   return t;
 }
 
 void check_equiv_1d(const StencilSpec& spec, Method m, int n, int tsteps,
-                    const PlanTriple& t, int seed) {
+                    const PlanPair& t, int seed) {
   const int radius =
       std::max(spec.p1.radius(), spec.has_source ? spec.src1.radius() : 0);
   const int halo = require_kernel(m, 1).required_halo(radius);
@@ -262,57 +261,46 @@ void check_equiv_1d(const StencilSpec& spec, Method m, int n, int tsteps,
   fill_random(k, seed + 1);
   const FieldView1D kv = k.view();
   const FieldView1D* kk = spec.has_source ? &kv : nullptr;
-  Grid1D sa(n, halo), sb(n, halo), ba(n, halo), bb(n, halo), pa(n, halo),
-      pb(n, halo), ra(n, halo), rb(n, halo);
-  for (Grid1D* g : {&sa, &ba, &pa, &ra}) fill_random(*g, seed);
+  Grid1D sa(n, halo), sb(n, halo), pa(n, halo), pb(n, halo), ra(n, halo),
+      rb(n, halo);
+  for (Grid1D* g : {&sa, &pa, &ra}) fill_random(*g, seed);
   copy(sa, sb);
-  copy(ba, bb);
   copy(pa, pb);
   copy(ra, rb);
   run_tile_plan(spec.p1, sa, sb, src, kk, tsteps, t.serial);
-  run_tile_plan(spec.p1, ba, bb, src, kk, tsteps, t.barrier);
   run_tile_plan(spec.p1, pa, pb, src, kk, tsteps, t.piped);
-  EXPECT_EQ(max_abs_diff(ba, sa), 0.0) << "barrier vs serial";
   EXPECT_EQ(max_abs_diff(pa, sa), 0.0) << "pipelined vs serial";
   run_reference(spec.p1, ra, rb, tsteps, src, kk);
   EXPECT_LE(max_abs_diff(pa, ra), 1e-11 * std::max(1.0, max_abs(ra)));
 }
 
 void check_equiv_2d(const StencilSpec& spec, Method m, int ny, int nx,
-                    int tsteps, const PlanTriple& t, int seed) {
+                    int tsteps, const PlanPair& t, int seed) {
   const int halo = require_kernel(m, 2).required_halo(spec.p2.radius());
-  Grid2D sa(ny, nx, halo), sb(ny, nx, halo), ba(ny, nx, halo),
-      bb(ny, nx, halo), pa(ny, nx, halo), pb(ny, nx, halo), ra(ny, nx, halo),
-      rb(ny, nx, halo);
-  for (Grid2D* g : {&sa, &ba, &pa, &ra}) fill_random(*g, seed);
+  Grid2D sa(ny, nx, halo), sb(ny, nx, halo), pa(ny, nx, halo),
+      pb(ny, nx, halo), ra(ny, nx, halo), rb(ny, nx, halo);
+  for (Grid2D* g : {&sa, &pa, &ra}) fill_random(*g, seed);
   copy(sa, sb);
-  copy(ba, bb);
   copy(pa, pb);
   copy(ra, rb);
   run_tile_plan(spec.p2, sa, sb, tsteps, t.serial);
-  run_tile_plan(spec.p2, ba, bb, tsteps, t.barrier);
   run_tile_plan(spec.p2, pa, pb, tsteps, t.piped);
-  EXPECT_EQ(max_abs_diff(ba, sa), 0.0) << "barrier vs serial";
   EXPECT_EQ(max_abs_diff(pa, sa), 0.0) << "pipelined vs serial";
   run_reference(spec.p2, ra, rb, tsteps);
   EXPECT_LE(max_abs_diff(pa, ra), 1e-11 * std::max(1.0, max_abs(ra)));
 }
 
 void check_equiv_3d(const StencilSpec& spec, Method m, int nz, int ny, int nx,
-                    int tsteps, const PlanTriple& t, int seed) {
+                    int tsteps, const PlanPair& t, int seed) {
   const int halo = require_kernel(m, 3).required_halo(spec.p3.radius());
-  Grid3D sa(nz, ny, nx, halo), sb(nz, ny, nx, halo), ba(nz, ny, nx, halo),
-      bb(nz, ny, nx, halo), pa(nz, ny, nx, halo), pb(nz, ny, nx, halo),
-      ra(nz, ny, nx, halo), rb(nz, ny, nx, halo);
-  for (Grid3D* g : {&sa, &ba, &pa, &ra}) fill_random(*g, seed);
+  Grid3D sa(nz, ny, nx, halo), sb(nz, ny, nx, halo), pa(nz, ny, nx, halo),
+      pb(nz, ny, nx, halo), ra(nz, ny, nx, halo), rb(nz, ny, nx, halo);
+  for (Grid3D* g : {&sa, &pa, &ra}) fill_random(*g, seed);
   copy(sa, sb);
-  copy(ba, bb);
   copy(pa, pb);
   copy(ra, rb);
   run_tile_plan(spec.p3, sa, sb, tsteps, t.serial);
-  run_tile_plan(spec.p3, ba, bb, tsteps, t.barrier);
   run_tile_plan(spec.p3, pa, pb, tsteps, t.piped);
-  EXPECT_EQ(max_abs_diff(ba, sa), 0.0) << "barrier vs serial";
   EXPECT_EQ(max_abs_diff(pa, sa), 0.0) << "pipelined vs serial";
   run_reference(spec.p3, ra, rb, tsteps);
   EXPECT_LE(max_abs_diff(pa, ra), 1e-11 * std::max(1.0, max_abs(ra)));
@@ -350,7 +338,7 @@ void fuzz_iteration(std::uint64_t& s, int iter) {
     base.tile = fz_in(s, 8, n + 8);  // may exceed n: single-tile/unblocked
     SCOPED_TRACE(std::string(spec.name) + " n=" + std::to_string(n) +
                  " tile=" + std::to_string(base.tile));
-    check_equiv_1d(spec, m, n, tsteps, plan_triple(base, threads, aff), seed);
+    check_equiv_1d(spec, m, n, tsteps, plan_pair(base, threads, aff), seed);
   } else if (dims == 2) {
     static const Preset presets[] = {Preset::Heat2D, Preset::Box2D9,
                                      Preset::Life, Preset::GB};
@@ -360,7 +348,7 @@ void fuzz_iteration(std::uint64_t& s, int iter) {
     SCOPED_TRACE(std::string(spec.name) + " ny=" + std::to_string(ny) +
                  " nx=" + std::to_string(nx) + " tile=" +
                  std::to_string(base.tile));
-    check_equiv_2d(spec, m, ny, nx, tsteps, plan_triple(base, threads, aff),
+    check_equiv_2d(spec, m, ny, nx, tsteps, plan_pair(base, threads, aff),
                    seed);
   } else {
     static const Preset presets[] = {Preset::Heat3D, Preset::Box3D27};
@@ -371,7 +359,7 @@ void fuzz_iteration(std::uint64_t& s, int iter) {
     SCOPED_TRACE(std::string(spec.name) + " nz=" + std::to_string(nz) +
                  " ny=" + std::to_string(ny) + " nx=" + std::to_string(nx) +
                  " tile=" + std::to_string(base.tile));
-    check_equiv_3d(spec, m, nz, ny, nx, tsteps, plan_triple(base, threads, aff),
+    check_equiv_3d(spec, m, nz, ny, nx, tsteps, plan_pair(base, threads, aff),
                    seed);
   }
 }
@@ -381,8 +369,7 @@ TEST(TiledPipeline, FuzzQuick) {
   for (int iter = 0; iter < 36; ++iter) fuzz_iteration(s, iter);
 }
 
-// Fixed shapes of the fused up/down walk, serial == barrier == pipelined
-// bitwise and against the naive reference: regular geometries, a single
+// Fixed shapes of the fused up/down walk, serial == pipelined bitwise and against the naive reference: regular geometries, a single
 // tile (tile > n), and many tiles per worker at H = 1 (tile 10, slope 2).
 TEST(TiledPipeline, FusedWalkFixedShapes) {
   TilePlan base;
@@ -396,7 +383,7 @@ TEST(TiledPipeline, FusedWalkFixedShapes) {
                  std::to_string(c.tile));
     base.tile = c.tile;
     check_equiv_1d(preset(Preset::Heat1D), base.method, c.n, c.tsteps,
-                   plan_triple(base, c.threads, Affinity::None), 77);
+                   plan_pair(base, c.threads, Affinity::None), 77);
   }
   struct Case3D {
     int nz, tile, tsteps, threads;
@@ -406,13 +393,13 @@ TEST(TiledPipeline, FusedWalkFixedShapes) {
                  std::to_string(c.tile));
     base.tile = c.tile;
     check_equiv_3d(preset(Preset::Heat3D), base.method, c.nz, 20, 16,
-                   c.tsteps, plan_triple(base, c.threads, Affinity::None), 99);
+                   c.tsteps, plan_pair(base, c.threads, Affinity::None), 99);
   }
 }
 
 // Acceptance sweep: all nine presets at their native dimensionality,
 // pinned (compact + scatter) and unpinned — pipelined bitwise equal to the
-// barrier schedule and to the serial run.
+// serial run.
 TEST(TiledPipeline, AllPresetsPinnedAndUnpinned) {
   for (Affinity aff :
        {Affinity::None, Affinity::Compact, Affinity::Scatter}) {
@@ -422,18 +409,18 @@ TEST(TiledPipeline, AllPresetsPinnedAndUnpinned) {
     for (Preset p : {Preset::Heat1D, Preset::P1D5, Preset::Apop}) {
       base.tile = 96;
       check_equiv_1d(preset(p), base.method, 700, 12,
-                     plan_triple(base, 4, aff), 11);
+                     plan_pair(base, 4, aff), 11);
     }
     for (Preset p :
          {Preset::Heat2D, Preset::Box2D9, Preset::Life, Preset::GB}) {
       base.tile = 20;
       check_equiv_2d(preset(p), base.method, 96, 64, 10,
-                     plan_triple(base, 4, aff), 12);
+                     plan_pair(base, 4, aff), 12);
     }
     for (Preset p : {Preset::Heat3D, Preset::Box3D27}) {
       base.tile = 10;
       check_equiv_3d(preset(p), base.method, 32, 20, 18, 8,
-                     plan_triple(base, 4, aff), 13);
+                     plan_pair(base, 4, aff), 13);
     }
   }
 }
@@ -450,7 +437,7 @@ TEST(TiledPipeline, MoreWorkersThanTilesPublishesAndCompletes) {
     base.method = Method::Ours2;
     base.tile = 48;  // ny = 96 -> 2 tiles, 8 workers: 6 empty ranges
     check_equiv_2d(preset(Preset::Heat2D), base.method, 96, 64, 12,
-                   plan_triple(base, 8, aff), 21);
+                   plan_pair(base, 8, aff), 21);
   }
 }
 
@@ -459,7 +446,7 @@ TEST(TiledPipeline, SingleTileFallsBackUnblocked) {
   base.method = Method::Ours;
   base.tile = 512;  // tile >= n: cannot block, full sweeps on every path
   check_equiv_1d(preset(Preset::Heat1D), base.method, 400, 10,
-                 plan_triple(base, 4, Affinity::None), 31);
+                 plan_pair(base, 4, Affinity::None), 31);
 }
 
 TEST(TiledPipeline, MinimalTimeBlockHEqualsOne) {
@@ -468,11 +455,47 @@ TEST(TiledPipeline, MinimalTimeBlockHEqualsOne) {
   base.time_block = 2;  // fold depth m = 2 -> H = 1: waits every super-step
   base.tile = 24;
   check_equiv_2d(preset(Preset::Box2D9), base.method, 96, 48, 9,
-                 plan_triple(base, 4, Affinity::None), 41);
+                 plan_pair(base, 4, Affinity::None), 41);
   base.method = Method::Ours;  // m = 1 -> H = 1 directly
   base.time_block = 1;
   check_equiv_2d(preset(Preset::Heat2D), base.method, 96, 48, 9,
-                 plan_triple(base, 4, Affinity::None), 42);
+                 plan_pair(base, 4, Affinity::None), 42);
+}
+
+// Regression (nested runs): every worker of a shared pool runs a parallel
+// plan of the same (threads, affinity) on its own grids, so each run is
+// nested on a worker of the pool it would dispatch to. Nested runs walk
+// inline on the calling worker; they must never touch the pool's
+// per-worker arenas, which the other workers' nested 3-D folded runs use
+// at the same time.
+TEST(TiledPipeline, NestedRunsFromPoolWorkersMatchSerial) {
+  const auto& spec = preset(Preset::Heat3D);
+  const int nz = 40, ny = 20, nx = 16, tsteps = 10, workers = 4;
+  const int halo =
+      require_kernel(Method::Ours2, 3).required_halo(spec.p3.radius());
+  TilePlan base;
+  base.method = Method::Ours2;
+  base.tile = 12;
+  const PlanPair t = plan_pair(base, workers, Affinity::None);
+  Grid3D ra(nz, ny, nx, halo), rb(nz, ny, nx, halo);
+  fill_random(ra, 7);
+  copy(ra, rb);
+  run_tile_plan(spec.p3, ra, rb, tsteps, t.serial);
+
+  const auto pool = shared_pool(workers, Affinity::None);
+  for (int rep = 0; rep < 20; ++rep) {
+    std::vector<double> diff(static_cast<std::size_t>(workers), -1.0);
+    pool->run([&](int w) {
+      Grid3D a(nz, ny, nx, halo), b(nz, ny, nx, halo);
+      fill_random(a, 7);
+      copy(a, b);
+      run_tile_plan(spec.p3, a, b, tsteps, t.piped);
+      diff[static_cast<std::size_t>(w)] = max_abs_diff(a, ra);
+    });
+    for (int w = 0; w < workers; ++w)
+      EXPECT_EQ(diff[static_cast<std::size_t>(w)], 0.0)
+          << "rep " << rep << " worker " << w;
+  }
 }
 
 // The long fuzz (ctest label `stress`, excluded from the default run):
