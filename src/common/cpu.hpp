@@ -17,7 +17,8 @@ bool cpu_has_avx512();
 /// Resolves Isa::Auto to the widest supported level; passes others through.
 Isa resolve_isa(Isa requested);
 
-/// SIMD width in doubles for an ISA level (1, 4, or 8).
+/// SIMD width in doubles for an ISA level: Scalar 1, Avx2 4, Avx512 8.
+/// Vector kernels exist at widths 4 and 8 only; Scalar holds just naive.
 int isa_width(Isa isa);
 
 const char* isa_name(Isa isa);

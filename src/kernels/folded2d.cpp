@@ -256,15 +256,10 @@ void run_ours2_2d_noreuse(const Pattern2D& p, const FieldView2D& a, const FieldV
   run_ours2_2d_impl<W>(p, a, b, tsteps, /*reuse=*/false);
 }
 
-template void run_ours2_2d<1>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
 template void run_ours2_2d<4>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
 template void run_ours2_2d<8>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
-template void run_ours2_2d_noreuse<1>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
 template void run_ours2_2d_noreuse<4>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
 template void run_ours2_2d_noreuse<8>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
-template void folded2d_advance<1>(const Pattern2D&, const FoldingPlan&,
-                                  const Pattern2D&, const FieldView2D&, const FieldView2D&,
-                                  bool, int, int);
 template void folded2d_advance<4>(const Pattern2D&, const FoldingPlan&,
                                   const Pattern2D&, const FieldView2D&, const FieldView2D&,
                                   bool, int, int);
@@ -284,8 +279,6 @@ const KernelRegistrar reg2d_folded{{
     // The tiled stage (folded2d_advance over wedge row ranges) shares the
     // vector window, so the tiled radius range mirrors max_radius; the
     // wedge slope is fold-doubled (KernelInfo::wedge_slope).
-    kernel2d_info(Method::Ours2, Isa::Scalar, 1, 2, &detail::run_ours2_2d<1>,
-                  /*halo_floor=*/0, /*max_radius=*/-1, /*tiled_max_radius=*/-1),
     kernel2d_info(Method::Ours2, Isa::Avx2, 4, 2, &detail::run_ours2_2d<4>, 0,
                   2, 2),
     kernel2d_info(Method::Ours2, Isa::Avx512, 8, 2, &detail::run_ours2_2d<8>,

@@ -226,9 +226,6 @@ void folded3d_advance(const Pattern3D& p, const FoldingPlan& plan,
   }
 }
 
-template void folded3d_advance<1>(const Pattern3D&, const FoldingPlan&,
-                                  const Pattern3D&, const FieldView3D&, const FieldView3D&,
-                                  std::vector<AlignedBuffer>&, int, int);
 template void folded3d_advance<4>(const Pattern3D&, const FoldingPlan&,
                                   const Pattern3D&, const FieldView3D&, const FieldView3D&,
                                   std::vector<AlignedBuffer>&, int, int);
@@ -261,7 +258,6 @@ void run_ours2_3d(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b
   if (cur != &a) copy_interior(*cur, a);
 }
 
-template void run_ours2_3d<1>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
 template void run_ours2_3d<4>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
 template void run_ours2_3d<8>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
 
@@ -276,8 +272,6 @@ namespace {
 const KernelRegistrar reg3d_folded{{
     // Tiled stage shares the plane window: tiled radius mirrors max_radius
     // (see folded2d.cpp).
-    kernel3d_info(Method::Ours2, Isa::Scalar, 1, 2, &detail::run_ours2_3d<1>,
-                  /*halo_floor=*/0, /*max_radius=*/-1, /*tiled_max_radius=*/-1),
     kernel3d_info(Method::Ours2, Isa::Avx2, 4, 2, &detail::run_ours2_3d<4>, 0,
                   1, 1),
     kernel3d_info(Method::Ours2, Isa::Avx512, 8, 2, &detail::run_ours2_3d<8>,

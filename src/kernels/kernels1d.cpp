@@ -371,9 +371,11 @@ void run_ours2_1d(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b
 //  * Ours2's folded pass needs power(p, 2).radius() = 2r <= W.
 // ---------------------------------------------------------------------------
 const KernelRegistrar reg1d{{
-    // Naive is ISA-independent scalar code; it is registered at every
-    // level so exact-ISA lookups succeed, with width 1 reflecting how it
-    // actually executes.
+    // Naive is ISA-independent scalar code and the scalar reference: it is
+    // the only kernel at the scalar level, and it is registered at both
+    // vector levels too so exact-ISA lookups succeed, with width 1
+    // reflecting how it actually executes. The vector methods exist at
+    // AVX2 and AVX-512 only.
     // Tileability (last parameter): the wedge stage runs apply_pattern for
     // Naive (any radius); multiple-loads/data-reorg have no tiled stage;
     // 1-D DLT cannot be wedge-tiled (the lifted seam couples column 0 to
@@ -382,27 +384,19 @@ const KernelRegistrar reg1d{{
     kernel1d_info(Method::Naive, Isa::Scalar, 1, 1, &run_naive1d, 0, 0, 0),
     kernel1d_info(Method::Naive, Isa::Avx2, 1, 1, &run_naive1d, 0, 0, 0),
     kernel1d_info(Method::Naive, Isa::Avx512, 1, 1, &run_naive1d, 0, 0, 0),
-    kernel1d_info(Method::MultipleLoads, Isa::Scalar, 1, 1, &run_ml1d<1>),
     kernel1d_info(Method::MultipleLoads, Isa::Avx2, 4, 1, &run_ml1d<4>),
     kernel1d_info(Method::MultipleLoads, Isa::Avx512, 8, 1, &run_ml1d<8>),
-    kernel1d_info(Method::DataReorg, Isa::Scalar, 1, 1, &run_dr1d<1>,
-                  /*halo_floor=*/1, /*max_radius=*/1),
     kernel1d_info(Method::DataReorg, Isa::Avx2, 4, 1, &run_dr1d<4>, 4, 4),
     kernel1d_info(Method::DataReorg, Isa::Avx512, 8, 1, &run_dr1d<8>, 8, 8),
-    kernel1d_info(Method::DLT, Isa::Scalar, 1, 1, &run_dlt1d<1>),
     kernel1d_info(Method::DLT, Isa::Avx2, 4, 1, &run_dlt1d<4>),
     kernel1d_info(Method::DLT, Isa::Avx512, 8, 1, &run_dlt1d<8>),
     // The transpose-layout methods keep field data in Layout::Transposed
     // between steps, so they declare it as their preferred resident layout
     // (transposed-tagged views skip the per-call involution).
-    kernel1d_info(Method::Ours, Isa::Scalar, 1, 1, &run_ours1_1d<1>, 0, 1, 1,
-                  Layout::Transposed),
     kernel1d_info(Method::Ours, Isa::Avx2, 4, 1, &run_ours1_1d<4>, 0, 4, 4,
                   Layout::Transposed),
     kernel1d_info(Method::Ours, Isa::Avx512, 8, 1, &run_ours1_1d<8>, 0, 8, 8,
                   Layout::Transposed),
-    kernel1d_info(Method::Ours2, Isa::Scalar, 1, 2, &run_ours2_1d<1>, 0, -1,
-                  -1),
     kernel1d_info(Method::Ours2, Isa::Avx2, 4, 2, &run_ours2_1d<4>, 0, 2, 2,
                   Layout::Transposed),
     kernel1d_info(Method::Ours2, Isa::Avx512, 8, 2, &run_ours2_1d<8>, 0, 4, 4,

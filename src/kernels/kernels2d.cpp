@@ -271,26 +271,18 @@ void run_ours1_2d(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b
 }
 
 // Explicit instantiations used by the registry and the tiling framework.
-template void run_ml2d<1>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
 template void run_ml2d<4>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
 template void run_ml2d<8>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
-template void run_dr2d<1>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
 template void run_dr2d<4>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
 template void run_dr2d<8>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
-template void run_dlt2d<1>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
 template void run_dlt2d<4>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
 template void run_dlt2d<8>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
-template void run_ours1_2d<1>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
 template void run_ours1_2d<4>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
 template void run_ours1_2d<8>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
-template void step_rows_tl2d<1>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int, int);
 template void step_rows_tl2d<4>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int, int);
 template void step_rows_tl2d<8>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int, int);
-template void step_rows_dlt2d<1>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int, int);
 template void step_rows_dlt2d<4>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int, int);
 template void step_rows_dlt2d<8>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int, int);
-template void step_region_ml2d<1>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int,
-                                  int, int, int);
 template void step_region_ml2d<4>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int,
                                   int, int, int);
 template void step_region_ml2d<8>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int,
@@ -305,8 +297,8 @@ namespace {
 // (ours-2step) registers in folded2d.cpp. See the 1-D block in
 // kernels1d.cpp for the capability rationale.
 const KernelRegistrar reg2d{{
-    // Naive executes at width 1 regardless of the registered ISA level
-    // (see kernels1d.cpp).
+    // Naive executes at width 1 regardless of the registered ISA level and
+    // is the only scalar-level entry (see kernels1d.cpp).
     // Tileability (last parameter): Naive and DLT wedge-tile at any radius
     // (DLT's lifted-row-count precondition is shape-dependent and checked by
     // tiled_path_engages); ours tiles while r fits the row-group window.
@@ -316,20 +308,14 @@ const KernelRegistrar reg2d{{
                   0),
     kernel2d_info(Method::Naive, Isa::Avx512, 1, 1, &detail::run_naive2d, 0,
                   0, 0),
-    kernel2d_info(Method::MultipleLoads, Isa::Scalar, 1, 1,
-                  &detail::run_ml2d<1>),
     kernel2d_info(Method::MultipleLoads, Isa::Avx2, 4, 1,
                   &detail::run_ml2d<4>),
     kernel2d_info(Method::MultipleLoads, Isa::Avx512, 8, 1,
                   &detail::run_ml2d<8>),
-    kernel2d_info(Method::DataReorg, Isa::Scalar, 1, 1, &detail::run_dr2d<1>,
-                  /*halo_floor=*/1, /*max_radius=*/1),
     kernel2d_info(Method::DataReorg, Isa::Avx2, 4, 1, &detail::run_dr2d<4>, 4,
                   4),
     kernel2d_info(Method::DataReorg, Isa::Avx512, 8, 1, &detail::run_dr2d<8>,
                   8, 8),
-    kernel2d_info(Method::DLT, Isa::Scalar, 1, 1, &detail::run_dlt2d<1>, 0, 0,
-                  0),
     kernel2d_info(Method::DLT, Isa::Avx2, 4, 1, &detail::run_dlt2d<4>, 0, 0,
                   0),
     kernel2d_info(Method::DLT, Isa::Avx512, 8, 1, &detail::run_dlt2d<8>, 0, 0,
@@ -337,8 +323,6 @@ const KernelRegistrar reg2d{{
     // step_rows_tl2d's row-vector scratch caps the radius at min(W, 4).
     // Preferred layout Transposed: resident views skip the per-call
     // involution (see run_ours1_2d).
-    kernel2d_info(Method::Ours, Isa::Scalar, 1, 1, &detail::run_ours1_2d<1>,
-                  0, 1, 1, Layout::Transposed),
     kernel2d_info(Method::Ours, Isa::Avx2, 4, 1, &detail::run_ours1_2d<4>, 0,
                   4, 4, Layout::Transposed),
     kernel2d_info(Method::Ours, Isa::Avx512, 8, 1, &detail::run_ours1_2d<8>,

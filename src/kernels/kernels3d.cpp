@@ -269,26 +269,18 @@ void run_ours1_3d(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b
   }
 }
 
-template void run_ml3d<1>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
 template void run_ml3d<4>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
 template void run_ml3d<8>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
-template void run_dr3d<1>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
 template void run_dr3d<4>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
 template void run_dr3d<8>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
-template void run_dlt3d<1>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
 template void run_dlt3d<4>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
 template void run_dlt3d<8>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
-template void run_ours1_3d<1>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
 template void run_ours1_3d<4>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
 template void run_ours1_3d<8>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
-template void step_planes_tl3d<1>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int, int);
 template void step_planes_tl3d<4>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int, int);
 template void step_planes_tl3d<8>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int, int);
-template void step_planes_dlt3d<1>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int, int);
 template void step_planes_dlt3d<4>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int, int);
 template void step_planes_dlt3d<8>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int, int);
-template void step_region_ml3d<1>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int,
-                                  int, int, int, int, int);
 template void step_region_ml3d<4>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int,
                                   int, int, int, int, int);
 template void step_region_ml3d<8>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int,
@@ -303,8 +295,8 @@ namespace {
 // (ours-2step) registers in folded3d.cpp. See the 1-D block in
 // kernels1d.cpp for the capability rationale.
 const KernelRegistrar reg3d{{
-    // Naive executes at width 1 regardless of the registered ISA level
-    // (see kernels1d.cpp).
+    // Naive executes at width 1 regardless of the registered ISA level and
+    // is the only scalar-level entry (see kernels1d.cpp).
     // Tileability (last parameter): see the 2-D block in kernels2d.cpp.
     kernel3d_info(Method::Naive, Isa::Scalar, 1, 1, &detail::run_naive3d, 0,
                   0, 0),
@@ -312,20 +304,14 @@ const KernelRegistrar reg3d{{
                   0),
     kernel3d_info(Method::Naive, Isa::Avx512, 1, 1, &detail::run_naive3d, 0,
                   0, 0),
-    kernel3d_info(Method::MultipleLoads, Isa::Scalar, 1, 1,
-                  &detail::run_ml3d<1>),
     kernel3d_info(Method::MultipleLoads, Isa::Avx2, 4, 1,
                   &detail::run_ml3d<4>),
     kernel3d_info(Method::MultipleLoads, Isa::Avx512, 8, 1,
                   &detail::run_ml3d<8>),
-    kernel3d_info(Method::DataReorg, Isa::Scalar, 1, 1, &detail::run_dr3d<1>,
-                  /*halo_floor=*/1, /*max_radius=*/1),
     kernel3d_info(Method::DataReorg, Isa::Avx2, 4, 1, &detail::run_dr3d<4>, 4,
                   4),
     kernel3d_info(Method::DataReorg, Isa::Avx512, 8, 1, &detail::run_dr3d<8>,
                   8, 8),
-    kernel3d_info(Method::DLT, Isa::Scalar, 1, 1, &detail::run_dlt3d<1>, 0, 0,
-                  0),
     kernel3d_info(Method::DLT, Isa::Avx2, 4, 1, &detail::run_dlt3d<4>, 0, 0,
                   0),
     kernel3d_info(Method::DLT, Isa::Avx512, 8, 1, &detail::run_dlt3d<8>, 0, 0,
@@ -333,8 +319,6 @@ const KernelRegistrar reg3d{{
     // step_planes_tl3d's row-group scratch caps the radius at min(W, 2).
     // Preferred layout Transposed: resident views skip the per-call
     // involution (see run_ours1_3d).
-    kernel3d_info(Method::Ours, Isa::Scalar, 1, 1, &detail::run_ours1_3d<1>,
-                  0, 1, 1, Layout::Transposed),
     kernel3d_info(Method::Ours, Isa::Avx2, 4, 1, &detail::run_ours1_3d<4>, 0,
                   2, 2, Layout::Transposed),
     kernel3d_info(Method::Ours, Isa::Avx512, 8, 1, &detail::run_ours1_3d<8>,

@@ -45,8 +45,10 @@ struct KernelInfo {
   const char* name;  ///< String key, e.g. "ours-2step" (method_name(method)).
   Method method;     ///< Vectorization/folding strategy this entry implements.
   int dims;          ///< Dimensionality: 1, 2 or 3.
-  Isa isa;           ///< Concrete level: Scalar, Avx2 or Avx512 (never Auto).
-  int width;         ///< SIMD lanes in doubles (1, 4, 8).
+  Isa isa;           ///< Concrete level: Avx2 or Avx512, or Scalar for
+                     ///< naive only (never Auto).
+  int width;         ///< SIMD lanes in doubles: 4 or 8 for the vector
+                     ///< methods, 1 for naive at every level.
   int fold_depth;    ///< Temporal folding factor m; 1 = single-step.
   int halo_floor;    ///< Extra halo the vector path reads beyond fold_depth*r.
   int max_radius;    ///< Largest pattern radius the optimized path handles
@@ -129,9 +131,6 @@ class KernelRegistry {
   /// execute. Sorted by (method, isa) for deterministic enumeration.
   std::vector<const KernelInfo*> available(int dims,
                                            Isa isa = Isa::Auto) const;
-
-  /// Every registered entry, unfiltered (registry introspection/tests).
-  std::vector<const KernelInfo*> all() const;
 
  private:
   KernelRegistry() = default;

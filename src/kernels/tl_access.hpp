@@ -110,12 +110,6 @@ inline simd::vecd<W> shifted(simd::vecd<W> l, simd::vecd<W> c, simd::vecd<W> r,
                              int s);
 
 template <>
-inline simd::vecd<1> shifted(simd::vecd<1> l, simd::vecd<1> c, simd::vecd<1> r,
-                             int s) {
-  return s < 0 ? l : s > 0 ? r : c;
-}
-
-template <>
 inline simd::vecd<4> shifted(simd::vecd<4> l, simd::vecd<4> c, simd::vecd<4> r,
                              int s) {
   using simd::align_r;

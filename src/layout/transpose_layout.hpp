@@ -80,7 +80,9 @@ inline void grid_transpose_layout_planes(const FieldView3D& g, int z0,
       row_transpose_layout<W>(g.row(z, y), g.nx());
 }
 
-/// Runtime-width dispatch (W in {1,4,8}); W = 1 is a no-op.
+/// Runtime-width dispatch (W in {1,4,8}). W = 1 is a no-op: it is the
+/// width of naive, the one kernel with no vector layout (callers pass
+/// KernelInfo::width straight through).
 void apply_transpose_layout(const FieldView1D& g, int w);
 void apply_transpose_layout(const FieldView2D& g, int w);
 void apply_transpose_layout(const FieldView3D& g, int w);

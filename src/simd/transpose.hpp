@@ -16,10 +16,6 @@
 
 namespace sf::simd {
 
-/// 1x1 transpose: identity (scalar instantiation of W-generic kernels).
-inline void transpose(vecd<1>&) {}
-inline void transpose(vecd<1>*) {}
-
 /// Paper's two-stage AVX-2 4x4 transpose; r[i] holds row i on input and
 /// column i on output.
 inline void transpose(vecd<4>* r) {
@@ -86,7 +82,8 @@ inline void transpose_gather(const double* src, vecd<4>* r) {
     r[j].v = _mm256_i32gather_pd(src + j, idx, sizeof(double));
 }
 
-/// Scalar square transpose of an n*n block (reference + W=1 layout path).
+/// Scalar square transpose of an n*n block (the in-memory baseline of the
+/// transpose ablation).
 inline void transpose_scalar(double* a, int n) {
   for (int i = 0; i < n; ++i)
     for (int j = i + 1; j < n; ++j) {
@@ -100,14 +97,10 @@ inline void transpose_scalar(double* a, int n) {
 /// written back in place (used by the layout transform).
 template <int W>
 inline void transpose_block_inplace(double* p) {
-  if constexpr (W == 1) {
-    (void)p;
-  } else {
-    vecd<W> r[W];
-    for (int i = 0; i < W; ++i) r[i] = vecd<W>::load(p + i * W);
-    transpose(r);
-    for (int i = 0; i < W; ++i) r[i].store(p + i * W);
-  }
+  vecd<W> r[W];
+  for (int i = 0; i < W; ++i) r[i] = vecd<W>::load(p + i * W);
+  transpose(r);
+  for (int i = 0; i < W; ++i) r[i].store(p + i * W);
 }
 
 }  // namespace sf::simd

@@ -1,9 +1,9 @@
 // Portable SIMD wrapper over double vectors.
 //
-// Every kernel in src/kernels is written once against vecd<W> and
-// instantiated for W = 1 (scalar), 4 (AVX-2) and 8 (AVX-512). The scalar
-// specialization makes the W-generic kernels degenerate to plain scalar code,
-// which doubles as the reference path on machines without AVX.
+// Every vector kernel in src/kernels is written once against vecd<W> and
+// instantiated for W = 4 (AVX-2) and W = 8 (AVX-512), the two ISA levels the
+// paper evaluates. There is no scalar vecd: the scalar reference is the
+// naive kernel (stencil/reference.hpp), the only kernel at Isa::Scalar.
 #pragma once
 
 #include <immintrin.h>
@@ -14,31 +14,6 @@ namespace sf::simd {
 
 template <int W>
 struct vecd;  // only the specializations below exist
-
-// ---------------------------------------------------------------------------
-// W = 1: scalar fallback. All lane operations are identities.
-// ---------------------------------------------------------------------------
-template <>
-struct vecd<1> {
-  double v;
-
-  static constexpr int width = 1;
-
-  static vecd load(const double* p) { return {*p}; }
-  static vecd loadu(const double* p) { return {*p}; }
-  static vecd set1(double x) { return {x}; }
-  static vecd zero() { return {0.0}; }
-  void store(double* p) const { *p = v; }
-  void storeu(double* p) const { *p = v; }
-
-  friend vecd operator+(vecd a, vecd b) { return {a.v + b.v}; }
-  friend vecd operator-(vecd a, vecd b) { return {a.v - b.v}; }
-  friend vecd operator*(vecd a, vecd b) { return {a.v * b.v}; }
-  /// a*b + c
-  static vecd fma(vecd a, vecd b, vecd c) { return {a.v * b.v + c.v}; }
-
-  double lane(int) const { return v; }
-};
 
 // ---------------------------------------------------------------------------
 // W = 4: AVX-2.
@@ -106,7 +81,6 @@ struct vecd<8> {
 // ---------------------------------------------------------------------------
 
 /// Circular rotate right by one lane: (a0,a1,..,aW-1) -> (aW-1,a0,..,aW-2).
-inline vecd<1> rotate_r1(vecd<1> a) { return a; }
 inline vecd<4> rotate_r1(vecd<4> a) {
   return {_mm256_permute4x64_pd(a.v, 0x93)};  // idx 3,0,1,2
 }
@@ -116,7 +90,6 @@ inline vecd<8> rotate_r1(vecd<8> a) {
 }
 
 /// Circular rotate left by one lane: (a0,a1,..,aW-1) -> (a1,..,aW-1,a0).
-inline vecd<1> rotate_l1(vecd<1> a) { return a; }
 inline vecd<4> rotate_l1(vecd<4> a) {
   return {_mm256_permute4x64_pd(a.v, 0x39)};  // idx 1,2,3,0
 }
@@ -126,7 +99,6 @@ inline vecd<8> rotate_l1(vecd<8> a) {
 }
 
 /// Replaces lane 0 of `a` with lane 0 of `b`.
-inline vecd<1> blend_first(vecd<1>, vecd<1> b) { return b; }
 inline vecd<4> blend_first(vecd<4> a, vecd<4> b) {
   return {_mm256_blend_pd(a.v, b.v, 0x1)};
 }
@@ -135,7 +107,6 @@ inline vecd<8> blend_first(vecd<8> a, vecd<8> b) {
 }
 
 /// Replaces the last lane of `a` with the last lane of `b`.
-inline vecd<1> blend_last(vecd<1>, vecd<1> b) { return b; }
 inline vecd<4> blend_last(vecd<4> a, vecd<4> b) {
   return {_mm256_blend_pd(a.v, b.v, 0x8)};
 }
@@ -149,13 +120,6 @@ inline vecd<8> blend_last(vecd<8> a, vecd<8> b) {
 // This is the in-register shift the "data reorganization" baseline uses to
 // synthesize x-neighbour vectors from two aligned loads.
 // ---------------------------------------------------------------------------
-template <int K>
-inline vecd<1> align_r(vecd<1> a, vecd<1> b) {
-  static_assert(K >= 0 && K <= 1);
-  if constexpr (K == 0) return a;
-  return b;
-}
-
 template <int K>
 inline vecd<4> align_r(vecd<4> a, vecd<4> b) {
   static_assert(K >= 0 && K <= 4);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "fold/folding_plan.hpp"
@@ -591,6 +592,18 @@ void tiled3d_impl(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b
   }
 }
 
+/// Calls f(std::integral_constant<int, W>{}) with the vector width of
+/// `isa`: W = 8 at AVX-512, W = 4 otherwise. The vector kernels exist at
+/// those two widths only; naive, the one kernel at Isa::Scalar, runs its
+/// wedge stage through apply_pattern, which never reads W.
+template <class F>
+decltype(auto) dispatch_width(Isa isa, F&& f) {
+  switch (isa_width(resolve_isa(isa))) {
+    case 8: return f(std::integral_constant<int, 8>{});
+    default: return f(std::integral_constant<int, 4>{});
+  }
+}
+
 }  // namespace
 
 WedgeGeometry negotiate_wedge(int n_tiled, int slope, int fold_m, int tsteps,
@@ -644,50 +657,44 @@ bool tiled_path_engages(const KernelInfo& k, int radius, int src_radius,
 void run_tile_plan(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b,
                    const Pattern1D* src, const FieldView1D* k, int tsteps,
                    const TilePlan& plan) {
-  const KernelInfo* info = find_kernel(plan.method, 1, plan.isa);
+  const KernelInfo& info = require_kernel(plan.method, 1, plan.isa);
   const int sr = src != nullptr ? src->radius() : 0;
   // 1-D DLT never engages (tiled_max_radius = -1): the lifted layout's seam
   // couples column 0 to column L-1 across lanes, so column tiles are not
   // spatially local and concurrent wedges would race on the seam. SDSL-1D
   // therefore runs the untiled lifted kernel (see
   // docs/ARCHITECTURE.md#why-1-d-dlt-is-never-wedge-tiled).
-  if (info == nullptr || !tiled_path_engages(*info, p.radius(), sr, a.n())) {
-    kernel1d(plan.method, plan.isa)(p, a, b, src, k, tsteps);
+  if (!tiled_path_engages(info, p.radius(), sr, a.n())) {
+    info.run1(p, a, b, src, k, tsteps);
     return;
   }
-  switch (isa_width(resolve_isa(plan.isa))) {
-    case 8: tiled1d_impl<8>(p, a, b, src, k, tsteps, plan); break;
-    case 4: tiled1d_impl<4>(p, a, b, src, k, tsteps, plan); break;
-    default: tiled1d_impl<1>(p, a, b, src, k, tsteps, plan); break;
-  }
+  dispatch_width(plan.isa, [&](auto wc) {
+    tiled1d_impl<decltype(wc)::value>(p, a, b, src, k, tsteps, plan);
+  });
 }
 
 void run_tile_plan(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps,
                    const TilePlan& plan) {
-  const KernelInfo* info = find_kernel(plan.method, 2, plan.isa);
-  if (info == nullptr || !tiled_path_engages(*info, p.radius(), 0, a.nx())) {
-    kernel2d(plan.method, plan.isa)(p, a, b, tsteps);
+  const KernelInfo& info = require_kernel(plan.method, 2, plan.isa);
+  if (!tiled_path_engages(info, p.radius(), 0, a.nx())) {
+    info.run2(p, a, b, tsteps);
     return;
   }
-  switch (isa_width(resolve_isa(plan.isa))) {
-    case 8: tiled2d_impl<8>(p, a, b, tsteps, plan); break;
-    case 4: tiled2d_impl<4>(p, a, b, tsteps, plan); break;
-    default: tiled2d_impl<1>(p, a, b, tsteps, plan); break;
-  }
+  dispatch_width(plan.isa, [&](auto wc) {
+    tiled2d_impl<decltype(wc)::value>(p, a, b, tsteps, plan);
+  });
 }
 
 void run_tile_plan(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b, int tsteps,
                    const TilePlan& plan) {
-  const KernelInfo* info = find_kernel(plan.method, 3, plan.isa);
-  if (info == nullptr || !tiled_path_engages(*info, p.radius(), 0, a.nx())) {
-    kernel3d(plan.method, plan.isa)(p, a, b, tsteps);
+  const KernelInfo& info = require_kernel(plan.method, 3, plan.isa);
+  if (!tiled_path_engages(info, p.radius(), 0, a.nx())) {
+    info.run3(p, a, b, tsteps);
     return;
   }
-  switch (isa_width(resolve_isa(plan.isa))) {
-    case 8: tiled3d_impl<8>(p, a, b, tsteps, plan); break;
-    case 4: tiled3d_impl<4>(p, a, b, tsteps, plan); break;
-    default: tiled3d_impl<1>(p, a, b, tsteps, plan); break;
-  }
+  dispatch_width(plan.isa, [&](auto wc) {
+    tiled3d_impl<decltype(wc)::value>(p, a, b, tsteps, plan);
+  });
 }
 
 namespace {
@@ -718,22 +725,19 @@ void run_tile_plan_batch(const Pattern1D& p, const std::vector<TileBatch1D>& ite
     run_tile_plan(p, items[0].a, items[0].b, src, items[0].k, tsteps, plan);
     return;
   }
-  const KernelInfo* info = find_kernel(plan.method, 1, plan.isa);
+  const KernelInfo& info = require_kernel(plan.method, 1, plan.isa);
   const int sr = src != nullptr ? src->radius() : 0;
-  const bool engages =
-      info != nullptr && tiled_path_engages(*info, p.radius(), sr, items[0].a.n());
-  const int width = isa_width(resolve_isa(plan.isa));
+  const bool engages = tiled_path_engages(info, p.radius(), sr, items[0].a.n());
   fan_out_items(items.size(), plan, [&](int i) {
     const TileBatch1D& it = items[static_cast<std::size_t>(i)];
     if (!engages) {
-      kernel1d(plan.method, plan.isa)(p, it.a, it.b, src, it.k, tsteps);
+      info.run1(p, it.a, it.b, src, it.k, tsteps);
       return;
     }
-    switch (width) {
-      case 8: tiled1d_impl<8>(p, it.a, it.b, src, it.k, tsteps, plan, true); break;
-      case 4: tiled1d_impl<4>(p, it.a, it.b, src, it.k, tsteps, plan, true); break;
-      default: tiled1d_impl<1>(p, it.a, it.b, src, it.k, tsteps, plan, true); break;
-    }
+    dispatch_width(plan.isa, [&](auto wc) {
+      tiled1d_impl<decltype(wc)::value>(p, it.a, it.b, src, it.k, tsteps, plan,
+                                        true);
+    });
   });
 }
 
@@ -744,21 +748,17 @@ void run_tile_plan_batch(const Pattern2D& p, const std::vector<TileBatch2D>& ite
     run_tile_plan(p, items[0].a, items[0].b, tsteps, plan);
     return;
   }
-  const KernelInfo* info = find_kernel(plan.method, 2, plan.isa);
-  const bool engages =
-      info != nullptr && tiled_path_engages(*info, p.radius(), 0, items[0].a.nx());
-  const int width = isa_width(resolve_isa(plan.isa));
+  const KernelInfo& info = require_kernel(plan.method, 2, plan.isa);
+  const bool engages = tiled_path_engages(info, p.radius(), 0, items[0].a.nx());
   fan_out_items(items.size(), plan, [&](int i) {
     const TileBatch2D& it = items[static_cast<std::size_t>(i)];
     if (!engages) {
-      kernel2d(plan.method, plan.isa)(p, it.a, it.b, tsteps);
+      info.run2(p, it.a, it.b, tsteps);
       return;
     }
-    switch (width) {
-      case 8: tiled2d_impl<8>(p, it.a, it.b, tsteps, plan, true); break;
-      case 4: tiled2d_impl<4>(p, it.a, it.b, tsteps, plan, true); break;
-      default: tiled2d_impl<1>(p, it.a, it.b, tsteps, plan, true); break;
-    }
+    dispatch_width(plan.isa, [&](auto wc) {
+      tiled2d_impl<decltype(wc)::value>(p, it.a, it.b, tsteps, plan, true);
+    });
   });
 }
 
@@ -769,21 +769,17 @@ void run_tile_plan_batch(const Pattern3D& p, const std::vector<TileBatch3D>& ite
     run_tile_plan(p, items[0].a, items[0].b, tsteps, plan);
     return;
   }
-  const KernelInfo* info = find_kernel(plan.method, 3, plan.isa);
-  const bool engages =
-      info != nullptr && tiled_path_engages(*info, p.radius(), 0, items[0].a.nx());
-  const int width = isa_width(resolve_isa(plan.isa));
+  const KernelInfo& info = require_kernel(plan.method, 3, plan.isa);
+  const bool engages = tiled_path_engages(info, p.radius(), 0, items[0].a.nx());
   fan_out_items(items.size(), plan, [&](int i) {
     const TileBatch3D& it = items[static_cast<std::size_t>(i)];
     if (!engages) {
-      kernel3d(plan.method, plan.isa)(p, it.a, it.b, tsteps);
+      info.run3(p, it.a, it.b, tsteps);
       return;
     }
-    switch (width) {
-      case 8: tiled3d_impl<8>(p, it.a, it.b, tsteps, plan, true); break;
-      case 4: tiled3d_impl<4>(p, it.a, it.b, tsteps, plan, true); break;
-      default: tiled3d_impl<1>(p, it.a, it.b, tsteps, plan, true); break;
-    }
+    dispatch_width(plan.isa, [&](auto wc) {
+      tiled3d_impl<decltype(wc)::value>(p, it.a, it.b, tsteps, plan, true);
+    });
   });
 }
 

@@ -914,10 +914,11 @@ TEST(TuneBuckets, BucketedLookupsNeverCrossKernelOrRadiusKeys) {
       cache.lookup_rounded(make_tune_key(ours2, 2, 4010, 3990, 1, 500, 4))
           .has_value());
   // Same kernel at another ISA level is a different kernel identity too.
-  const KernelInfo* ours2_scalar = find_kernel(Method::Ours2, 2, Isa::Scalar);
-  ASSERT_NE(ours2_scalar, nullptr);
+  const Isa other = ours2.isa == Isa::Avx512 ? Isa::Avx2 : Isa::Avx512;
+  const KernelInfo* ours2_other = find_kernel(Method::Ours2, 2, other);
+  ASSERT_NE(ours2_other, nullptr);
   EXPECT_FALSE(cache
-                   .lookup_rounded(make_tune_key(*ours2_scalar, 1, 4010,
+                   .lookup_rounded(make_tune_key(*ours2_other, 1, 4010,
                                                  3990, 1, 500, 4))
                    .has_value());
 }

@@ -1,11 +1,13 @@
 // Kernel registry: enumeration, string lookup, capability metadata, and the
 // declared-minimum-halo regression. Adding a kernel must only require a
 // registration in its own translation unit; these tests assert the full
-// method x dims x ISA matrix is visible through the registry alone.
+// method x dims x ISA matrix is visible through the registry alone: every
+// method at AVX2 and AVX-512, and naive alone at the scalar level.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "grid/grid_utils.hpp"
 #include "kernels/registry.hpp"
@@ -25,6 +27,12 @@ TEST(Registry, AllSixMethodsAcrossAllDimsAndIsas) {
     for (Method m : kMethods)
       for (Isa isa : kIsas) {
         const KernelInfo* k = find_kernel(m, dims, isa);
+        // The scalar level holds naive only: vector methods are built at
+        // AVX2 and AVX-512 and nowhere else.
+        if (isa == Isa::Scalar && m != Method::Naive) {
+          EXPECT_EQ(k, nullptr) << method_name(m) << " " << dims << "-D";
+          continue;
+        }
         ASSERT_NE(k, nullptr)
             << method_name(m) << " " << dims << "-D " << isa_name(isa);
         EXPECT_EQ(k->method, m);
@@ -44,15 +52,20 @@ TEST(Registry, AllSixMethodsAcrossAllDimsAndIsas) {
 TEST(Registry, AvailableEnumeratesOnePerMethodAtConcreteIsa) {
   for (int dims = 1; dims <= 3; ++dims)
     for (Isa isa : kIsas) {
+      // Six methods at each vector level; naive alone at the scalar level.
+      const std::size_t want = isa == Isa::Scalar ? 1u : 6u;
       auto ks = available_kernels(dims, isa);
-      EXPECT_EQ(ks.size(), 6u) << dims << "-D " << isa_name(isa);
+      EXPECT_EQ(ks.size(), want) << dims << "-D " << isa_name(isa);
       std::set<Method> seen;
       for (const KernelInfo* k : ks) {
         EXPECT_EQ(k->isa, isa);
         EXPECT_EQ(k->dims, dims);
+        if (isa == Isa::Scalar) {
+          EXPECT_EQ(k->method, Method::Naive);
+        }
         seen.insert(k->method);
       }
-      EXPECT_EQ(seen.size(), 6u);
+      EXPECT_EQ(seen.size(), want);
       // Deterministic (method, isa) ordering.
       EXPECT_TRUE(std::is_sorted(ks.begin(), ks.end(),
                                  [](const KernelInfo* a, const KernelInfo* b) {
@@ -108,18 +121,10 @@ TEST(Registry, CapabilityMetadata) {
             8);
 
   // supports(): the folded vector path engages only while 2r fits the
-  // folded-radius cap; the scalar fold never engages (it falls back).
+  // folded-radius cap.
   EXPECT_TRUE(find_kernel(Method::Ours2, 1, Isa::Avx512)->supports(4));
   EXPECT_FALSE(find_kernel(Method::Ours2, 1, Isa::Avx2)->supports(3));
-  EXPECT_FALSE(find_kernel(Method::Ours2, 2, Isa::Scalar)->supports(1));
   EXPECT_TRUE(find_kernel(Method::Naive, 3, Isa::Scalar)->supports(100));
-}
-
-TEST(Registry, LegacyRequiredHaloIsWorstCaseOverIsas) {
-  // The deprecated free function keeps the old "safe everywhere" contract.
-  EXPECT_EQ(required_halo(Method::DataReorg, 1), 8);   // AVX-512 floor
-  EXPECT_EQ(required_halo(Method::Naive, 2), 2);       // just the radius
-  EXPECT_EQ(required_halo(Method::Ours2, 2), 4);       // 2r
 }
 
 // Registration is global and has no unregister: the probe entry below stays
@@ -146,59 +151,83 @@ TEST(Registry, AutoLookupFallsBackThroughNarrowerIsaLevels) {
 // Declared-minimum-halo regression, driven by the enumeration itself so a
 // newly registered kernel is covered automatically: every available kernel
 // must reproduce the reference when its grids carry exactly required_halo().
+// Each kernel runs two inputs: a preset, and a radius-5 star that exceeds
+// every vector window (data-reorg and ours at W = 4, ours-2step's folded
+// 2r at W = 4 and 8, the 2-D/3-D ours row windows), so each kernel's
+// radius fallback is checked at its declared halo too.
 // ---------------------------------------------------------------------------
 
+/// Radius-r star: center plus +-1..+-r along every axis, positive weights
+/// summing to 1 (values stay bounded over any number of steps).
+template <int D>
+Pattern<D> star(int r) {
+  using P = Pattern<D>;
+  std::vector<typename P::Tap> taps{{typename P::Offset{}, 0.4}};
+  for (int d = 0; d < D; ++d)
+    for (int k = 1; k <= r; ++k)
+      for (int s : {-k, k}) {
+        typename P::Offset off{};
+        off[d] = s;
+        taps.push_back({off, 0.6 / (2 * D * r)});
+      }
+  return P::from_taps(taps);
+}
+
 TEST(Registry, EveryKernelRunsAtDeclaredMinimumHalo1D) {
-  const auto& spec = preset(Preset::P1D5);  // radius 2 stresses 2r halos
   const int n = 70, tsteps = 4;
-  for (const KernelInfo* k : available_kernels(1)) {
-    const int halo = k->required_halo(spec.p1.radius());
-    Grid1D a(n, halo), b(n, halo), ra(n, halo), rb(n, halo);
-    fill_random(a, 11);
-    copy(a, b);
-    copy(a, ra);
-    copy(a, rb);
-    run_reference(spec.p1, ra, rb, tsteps);
-    k->run1(spec.p1, a, b, nullptr, nullptr, tsteps);
-    EXPECT_LE(max_abs_diff(a, ra), 1e-12 * std::max(1.0, max_abs(ra)))
-        << k->name << " " << isa_name(k->isa) << " halo=" << halo;
-  }
+  // P1D5: radius 2 stresses 2r halos.
+  for (const Pattern1D& p : {preset(Preset::P1D5).p1, star<1>(5)})
+    for (const KernelInfo* k : available_kernels(1)) {
+      const int halo = k->required_halo(p.radius());
+      Grid1D a(n, halo), b(n, halo), ra(n, halo), rb(n, halo);
+      fill_random(a, 11);
+      copy(a, b);
+      copy(a, ra);
+      copy(a, rb);
+      run_reference(p, ra, rb, tsteps);
+      k->run1(p, a, b, nullptr, nullptr, tsteps);
+      EXPECT_LE(max_abs_diff(a, ra), 1e-12 * std::max(1.0, max_abs(ra)))
+          << k->name << " " << isa_name(k->isa) << " r=" << p.radius()
+          << " halo=" << halo;
+    }
 }
 
 TEST(Registry, EveryKernelRunsAtDeclaredMinimumHalo2D) {
-  const auto& spec = preset(Preset::Box2D9);
   const int ny = 36, nx = 44, tsteps = 4;
-  for (const KernelInfo* k : available_kernels(2)) {
-    const int halo = k->required_halo(spec.p2.radius());
-    Grid2D a(ny, nx, halo), b(ny, nx, halo), ra(ny, nx, halo),
-        rb(ny, nx, halo);
-    fill_random(a, 22);
-    copy(a, b);
-    copy(a, ra);
-    copy(a, rb);
-    run_reference(spec.p2, ra, rb, tsteps);
-    k->run2(spec.p2, a, b, tsteps);
-    EXPECT_LE(max_abs_diff(a, ra), 1e-12 * std::max(1.0, max_abs(ra)))
-        << k->name << " " << isa_name(k->isa) << " halo=" << halo;
-  }
+  for (const Pattern2D& p : {preset(Preset::Box2D9).p2, star<2>(5)})
+    for (const KernelInfo* k : available_kernels(2)) {
+      const int halo = k->required_halo(p.radius());
+      Grid2D a(ny, nx, halo), b(ny, nx, halo), ra(ny, nx, halo),
+          rb(ny, nx, halo);
+      fill_random(a, 22);
+      copy(a, b);
+      copy(a, ra);
+      copy(a, rb);
+      run_reference(p, ra, rb, tsteps);
+      k->run2(p, a, b, tsteps);
+      EXPECT_LE(max_abs_diff(a, ra), 1e-12 * std::max(1.0, max_abs(ra)))
+          << k->name << " " << isa_name(k->isa) << " r=" << p.radius()
+          << " halo=" << halo;
+    }
 }
 
 TEST(Registry, EveryKernelRunsAtDeclaredMinimumHalo3D) {
-  const auto& spec = preset(Preset::Box3D27);
   const int nz = 12, ny = 10, nx = 20, tsteps = 4;
-  for (const KernelInfo* k : available_kernels(3)) {
-    const int halo = k->required_halo(spec.p3.radius());
-    Grid3D a(nz, ny, nx, halo), b(nz, ny, nx, halo), ra(nz, ny, nx, halo),
-        rb(nz, ny, nx, halo);
-    fill_random(a, 33);
-    copy(a, b);
-    copy(a, ra);
-    copy(a, rb);
-    run_reference(spec.p3, ra, rb, tsteps);
-    k->run3(spec.p3, a, b, tsteps);
-    EXPECT_LE(max_abs_diff(a, ra), 1e-12 * std::max(1.0, max_abs(ra)))
-        << k->name << " " << isa_name(k->isa) << " halo=" << halo;
-  }
+  for (const Pattern3D& p : {preset(Preset::Box3D27).p3, star<3>(5)})
+    for (const KernelInfo* k : available_kernels(3)) {
+      const int halo = k->required_halo(p.radius());
+      Grid3D a(nz, ny, nx, halo), b(nz, ny, nx, halo), ra(nz, ny, nx, halo),
+          rb(nz, ny, nx, halo);
+      fill_random(a, 33);
+      copy(a, b);
+      copy(a, ra);
+      copy(a, rb);
+      run_reference(p, ra, rb, tsteps);
+      k->run3(p, a, b, tsteps);
+      EXPECT_LE(max_abs_diff(a, ra), 1e-12 * std::max(1.0, max_abs(ra)))
+          << k->name << " " << isa_name(k->isa) << " r=" << p.radius()
+          << " halo=" << halo;
+    }
 }
 
 }  // namespace

@@ -40,7 +40,6 @@ TEST(Simd, RotateAvx512) {
   if (!cpu_has_avx512()) GTEST_SKIP();
   check_rotations<8>();
 }
-TEST(Simd, RotateScalar) { check_rotations<1>(); }
 
 template <int W>
 void check_blends() {
@@ -83,7 +82,6 @@ TEST(Simd, ShiftedAvx512) {
   if (!cpu_has_avx512()) GTEST_SKIP();
   check_shifted<8>();
 }
-TEST(Simd, ShiftedScalar) { check_shifted<1>(); }
 
 template <int W>
 void check_transpose() {

@@ -2,11 +2,31 @@
 // negotiation, workspace ownership/reuse, and single-run verification.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/solver.hpp"
 #include "fold/cost_model.hpp"
 
 namespace sf {
 namespace {
+
+/// Radius-r star (center plus +-1..+-r along each axis) with positive
+/// weights summing to 1: a custom radius for the Auto fall-through checks.
+template <int D>
+Pattern<D> star(int r) {
+  using P = Pattern<D>;
+  std::vector<typename P::Tap> taps{{typename P::Offset{}, 0.5}};
+  for (int d = 0; d < D; ++d)
+    for (int k = 1; k <= r; ++k)
+      for (int s : {-k, k}) {
+        typename P::Offset off{};
+        off[d] = s;
+        taps.push_back({off, 0.5 / (2 * D * r)});
+      }
+  return P::from_taps(taps);
+}
 
 TEST(Solver, ResolveFillsPresetDefaults) {
   for (Preset p : {Preset::Heat1D, Preset::Heat2D, Preset::Heat3D}) {
@@ -67,10 +87,53 @@ TEST(Solver, AutoSelectionFollowsCostModel) {
   EXPECT_EQ(auto_method(preset(Preset::Heat2D), Isa::Avx2), Method::Ours2);
   EXPECT_GT(profitability(preset(Preset::Heat2D).p2, 2).index_vec(), 1.0);
 
-  // At scalar width the folded (and 1-step transpose at r = 2) vector
-  // paths never engage: Auto falls back through the paper's ordering.
-  EXPECT_EQ(auto_method(preset(Preset::Heat2D), Isa::Scalar), Method::Ours);
-  EXPECT_EQ(auto_method(preset(Preset::P1D5), Isa::Scalar), Method::DLT);
+  // Beyond ours-2step's folded window (2r <= 4 at AVX-2) Auto falls back
+  // through the paper's ordering: ours while r fits its window (r <= 4),
+  // then dlt, which engages at any radius.
+  StencilSpec wide2 = preset(Preset::Heat2D);
+  wide2.p2 = star<2>(3);
+  EXPECT_EQ(auto_method(wide2, Isa::Avx2), Method::Ours);
+  wide2.p2 = star<2>(5);
+  EXPECT_EQ(auto_method(wide2, Isa::Avx2), Method::DLT);
+  StencilSpec wide1 = preset(Preset::P1D5);
+  wide1.p1 = star<1>(3);
+  EXPECT_EQ(auto_method(wide1, Isa::Avx2), Method::Ours);
+  wide1.p1 = star<1>(5);
+  EXPECT_EQ(auto_method(wide1, Isa::Avx2), Method::DLT);
+
+  // The scalar level holds naive alone, so Auto resolves to it there.
+  for (Preset p : {Preset::P1D5, Preset::Heat2D, Preset::Heat3D})
+    EXPECT_EQ(auto_method(preset(p), Isa::Scalar), Method::Naive)
+        << preset(p).name;
+}
+
+TEST(Solver, VectorMethodAtScalarIsaThrowsNamingIt) {
+  // Vector methods are built at AVX-2 and AVX-512 only: an explicit request
+  // for one at the scalar level fails at prepare, naming method and level.
+  auto expect_names_ours_scalar = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("ours"), std::string::npos) << what;
+      EXPECT_NE(what.find("scalar"), std::string::npos) << what;
+    }
+  };
+  ExecOptions opts;
+  opts.method = Method::Ours;
+  opts.isa = Isa::Scalar;
+  expect_names_ours_scalar([&] {
+    Engine::instance().prepare(Preset::Heat2D, Extents{64, 48}, opts);
+  });
+  expect_names_ours_scalar([] {
+    Solver::make(Preset::Heat2D).method(Method::Ours).isa(Isa::Scalar)
+        .kernel();
+  });
+  // Naive stays available at the scalar level.
+  EXPECT_EQ(Solver::make(Preset::Heat2D).method(Method::Naive)
+                .isa(Isa::Scalar).kernel().isa,
+            Isa::Scalar);
 }
 
 TEST(Solver, AutoResolvesToARegisteredKernelAndVerifies) {

@@ -3,6 +3,7 @@
 // Fig. 7 tessellation states.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
@@ -187,6 +188,94 @@ TEST(Tiled, LongHorizon) {
   opt.threads = 4;
   run_tile_plan(spec.p1, a, b, nullptr, nullptr, tsteps, opt);
   EXPECT_LE(max_abs_diff(a, ra), 1e-10);
+}
+
+TEST(Tiled, NaiveAtScalarIsaMatchesUntiledNaiveBitwise) {
+  // Naive is the only kernel at Isa::Scalar. Its tiled stage dispatches at
+  // W = 4 like every level below AVX-512 (apply_pattern never reads W), so
+  // a tiled scalar run, single or batched, is bitwise the untiled kernel.
+  TilePlan opt;
+  opt.method = Method::Naive;
+  opt.isa = Isa::Scalar;
+  opt.tile = 16;
+  opt.threads = 2;
+  const int tsteps = 9, nbatch = 3;
+
+  {  // 1-D, with APOP's time-invariant source term.
+    const auto& spec = preset(Preset::Apop);
+    const KernelInfo& k = require_kernel(Method::Naive, 1, Isa::Scalar);
+    const int n = 160;
+    const int halo =
+        k.required_halo(std::max(spec.p1.radius(), spec.src1.radius()));
+    Grid1D src(n, halo), ref(n, halo), refb(n, halo);
+    fill_random(src, 50);
+    fill_random(ref, 51);
+    copy(ref, refb);
+    const FieldView1D sv = src.view();
+    // a[0]/b[0]: the single run; the rest: the batch items.
+    std::vector<Grid1D> a, b;
+    for (int i = 0; i <= nbatch; ++i) {
+      a.emplace_back(n, halo);
+      b.emplace_back(n, halo);
+      copy(ref, a.back());
+      copy(ref, b.back());
+    }
+    k.run1(spec.p1, ref, refb, &spec.src1, &sv, tsteps);
+    run_tile_plan(spec.p1, a[0], b[0], &spec.src1, &sv, tsteps, opt);
+    EXPECT_EQ(max_abs_diff(a[0], ref), 0.0) << "1-D single";
+    std::vector<TileBatch1D> items;
+    for (int i = 1; i <= nbatch; ++i) items.push_back({a[i], b[i], &sv});
+    run_tile_plan_batch(spec.p1, items, &spec.src1, tsteps, opt);
+    for (int i = 1; i <= nbatch; ++i)
+      EXPECT_EQ(max_abs_diff(a[i], ref), 0.0) << "1-D batch item " << i;
+  }
+  {  // 2-D
+    const auto& spec = preset(Preset::Box2D9);
+    const KernelInfo& k = require_kernel(Method::Naive, 2, Isa::Scalar);
+    const int ny = 64, nx = 40, halo = k.required_halo(spec.p2.radius());
+    Grid2D ref(ny, nx, halo), refb(ny, nx, halo);
+    fill_random(ref, 52);
+    copy(ref, refb);
+    std::vector<Grid2D> a, b;
+    for (int i = 0; i <= nbatch; ++i) {
+      a.emplace_back(ny, nx, halo);
+      b.emplace_back(ny, nx, halo);
+      copy(ref, a.back());
+      copy(ref, b.back());
+    }
+    k.run2(spec.p2, ref, refb, tsteps);
+    run_tile_plan(spec.p2, a[0], b[0], tsteps, opt);
+    EXPECT_EQ(max_abs_diff(a[0], ref), 0.0) << "2-D single";
+    std::vector<TileBatch2D> items;
+    for (int i = 1; i <= nbatch; ++i) items.push_back({a[i], b[i]});
+    run_tile_plan_batch(spec.p2, items, tsteps, opt);
+    for (int i = 1; i <= nbatch; ++i)
+      EXPECT_EQ(max_abs_diff(a[i], ref), 0.0) << "2-D batch item " << i;
+  }
+  {  // 3-D
+    const auto& spec = preset(Preset::Heat3D);
+    const KernelInfo& k = require_kernel(Method::Naive, 3, Isa::Scalar);
+    const int nz = 48, ny = 10, nx = 12;
+    const int halo = k.required_halo(spec.p3.radius());
+    Grid3D ref(nz, ny, nx, halo), refb(nz, ny, nx, halo);
+    fill_random(ref, 53);
+    copy(ref, refb);
+    std::vector<Grid3D> a, b;
+    for (int i = 0; i <= nbatch; ++i) {
+      a.emplace_back(nz, ny, nx, halo);
+      b.emplace_back(nz, ny, nx, halo);
+      copy(ref, a.back());
+      copy(ref, b.back());
+    }
+    k.run3(spec.p3, ref, refb, tsteps);
+    run_tile_plan(spec.p3, a[0], b[0], tsteps, opt);
+    EXPECT_EQ(max_abs_diff(a[0], ref), 0.0) << "3-D single";
+    std::vector<TileBatch3D> items;
+    for (int i = 1; i <= nbatch; ++i) items.push_back({a[i], b[i]});
+    run_tile_plan_batch(spec.p3, items, tsteps, opt);
+    for (int i = 1; i <= nbatch; ++i)
+      EXPECT_EQ(max_abs_diff(a[i], ref), 0.0) << "3-D batch item " << i;
+  }
 }
 
 TEST(Tiled, NegotiateWedgeRespectsOverridesAndBlocks) {
