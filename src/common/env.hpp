@@ -17,10 +17,6 @@
 ///  * `SF_TUNE_CACHE=path` — persist tuned tile geometries to `path` and
 ///    reload them at startup, so production runs skip re-measurement across
 ///    processes (see core/tuner.hpp).
-///  * `SF_TILE_MIN_BYTES=n` — working-set floor (bytes, default 2 MiB)
-///    below which Tiling::Auto stays untiled even on multicore: smaller
-///    problems lose more to stage barriers than they gain from parallel
-///    wedges.
 ///  * `SF_LLC_BYTES=n`    — override the detected last-level-cache size the
 ///    Tiling::Auto cost model compares working sets against
 ///    (common/cpu.hpp llc_bytes()).
@@ -29,19 +25,11 @@
 ///  * `SF_AFFINITY=none|compact|scatter` — default worker-placement policy
 ///    of the runtime's WorkerPool when ExecOptions::affinity is left at
 ///    Affinity::None (runtime/topology.hpp env_affinity()).
-///  * `SF_VALIDATE=0`     — debug-only toggle that skips the per-call
-///    FieldView validation in PreparedStencil::run()/advance() (combined
-///    with HaloPolicy::Clean this makes a streaming advance() pure kernel
-///    dispatch). Any other value — including unset — keeps validation on.
 ///  * `SF_POOL_CACHE=n`   — max (threads, affinity) configurations the
 ///    shared_pool() registry keeps cached (default 8, floor 1). Acquiring
 ///    a pool beyond the cap evicts the least-recently-used unreferenced
 ///    configuration; pools still referenced by prepared plans or servers
 ///    are never evicted (runtime/worker_pool.hpp).
-///  * `SF_ADAPTIVE_BATCH=0` — pin the serving dispatcher's per-round drain
-///    cap to the configured `max_batch` instead of letting it adapt to the
-///    observed queue depth (serving/server.hpp). Any other value — including
-///    unset — keeps adaptation on.
 ///  * `SF_TEST_JITTER=n`  — test-only fault injection: each pipelined wedge
 ///    stage first sleeps its worker a pseudo-random 0..n microseconds
 ///    (runtime/worker_pool.hpp test_jitter_stall), forcing maximal stage
@@ -93,11 +81,6 @@ inline bool tune_forced() { return env_flag("SF_TUNE"); }
 /// only).
 inline std::string tune_cache_path() { return env_str("SF_TUNE_CACHE"); }
 
-/// SF_TILE_MIN_BYTES: Tiling::Auto working-set floor (default 2 MiB).
-inline long tile_min_bytes() {
-  return env_long("SF_TILE_MIN_BYTES", 2L << 20);
-}
-
 /// SF_THREADS: default tiled-stage worker count (0 = hardware threads).
 inline int env_threads() {
   return static_cast<int>(env_long("SF_THREADS", 0));
@@ -114,20 +97,5 @@ inline int pool_cache_cap() {
 /// setenv/unsetenv around individual cases, so a cached parse would go
 /// stale (runtime/worker_pool.hpp test_jitter_stall).
 inline long test_jitter_us() { return env_long("SF_TEST_JITTER", 0); }
-
-/// SF_VALIDATE: false only when the variable is set to exactly "0" — the
-/// debug-only escape hatch that drops per-call view validation.
-inline bool env_validate() {
-  const char* v = std::getenv("SF_VALIDATE");
-  return v == nullptr || std::string(v) != "0";
-}
-
-/// SF_ADAPTIVE_BATCH: false only when the variable is set to exactly "0" —
-/// the escape hatch that pins the serving dispatcher's drain cap to the
-/// configured max_batch.
-inline bool env_adaptive_batch() {
-  const char* v = std::getenv("SF_ADAPTIVE_BATCH");
-  return v == nullptr || std::string(v) != "0";
-}
 
 }  // namespace sf

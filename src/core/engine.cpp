@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -79,6 +80,15 @@ Method auto_method(const StencilSpec& spec, Isa isa) {
 // Prepared state
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// The item of a single-grid entry point (run, advance, validate_views): a
+// one-element batch on the caller's stack.
+template <class Item>
+using One = std::array<Item, 1>;
+
+}  // namespace
+
 struct PreparedStencil::State {
   StencilSpec spec;
   const KernelInfo* kernel = nullptr;
@@ -90,13 +100,43 @@ struct PreparedStencil::State {
   Layout accept = Layout::Natural;     // resident layout run() accepts
   HaloPolicy halo_policy = HaloPolicy::Sync;
   Affinity affinity = Affinity::None;  // resolved placement policy
-  bool validate = true;                // per-call view validation
   int threads = 0;                     // resolved request thread count (0 =
                                        // hardware); batch fan-out pool size
   std::uint64_t plan_key = 0;          // effective-request hash (batch key)
   std::shared_ptr<WorkerPool> pool;    // runtime pool of the tiled stages
                                        // (shared per (threads, affinity);
                                        // null for untiled/serial plans)
+
+  // The one per-call path behind every run(), advance(), validate_views()
+  // and advance_batch() overload, generic over the TileBatch{1,2,3}D item
+  // type. `items` is a One<Item> for the single-grid entry points and the
+  // caller's vector for advance_batch(); `entry` names the public entry
+  // point in error messages. checked() runs the empty-handle, dims and
+  // view checks; execute() adds the halo sync and the tiled / untiled /
+  // fan-out dispatch.
+  template <class Items>
+  static const State& checked(const State* st, const char* entry,
+                              const Items& items);
+  template <class Items>
+  static void execute(const State* st, const char* entry, const Items& items,
+                      int nsteps);
+
+  // Per-dimension leaves of that path.
+  template <class Item>
+  void check(const Item& it) const;
+  void check_shape(const char* which, const FieldView1D& v) const;
+  void check_shape(const char* which, const FieldView2D& v) const;
+  void check_shape(const char* which, const FieldView3D& v) const;
+  const Pattern1D* source() const;
+  void run_kernel(const TileBatch1D& it, int nsteps) const;
+  void run_kernel(const TileBatch2D& it, int nsteps) const;
+  void run_kernel(const TileBatch3D& it, int nsteps) const;
+  void run_tiled(const One<TileBatch1D>& one, int nsteps) const;
+  void run_tiled(const One<TileBatch2D>& one, int nsteps) const;
+  void run_tiled(const One<TileBatch3D>& one, int nsteps) const;
+  void run_tiled(const std::vector<TileBatch1D>& items, int nsteps) const;
+  void run_tiled(const std::vector<TileBatch2D>& items, int nsteps) const;
+  void run_tiled(const std::vector<TileBatch3D>& items, int nsteps) const;
 };
 
 const StencilSpec& PreparedStencil::spec() const { return st_->spec; }
@@ -111,7 +151,6 @@ Layout PreparedStencil::preferred_layout() const { return st_->preferred; }
 Layout PreparedStencil::resident_layout() const { return st_->accept; }
 HaloPolicy PreparedStencil::halo_policy() const { return st_->halo_policy; }
 Affinity PreparedStencil::affinity() const { return st_->affinity; }
-bool PreparedStencil::validates() const { return st_->validate; }
 std::uint64_t PreparedStencil::plan_key() const { return st_->plan_key; }
 const WorkerPool* PreparedStencil::pool() const { return st_->pool.get(); }
 
@@ -136,10 +175,11 @@ bool aligned64(const double* p) {
 // provided their recorded layout width matches the prepared kernel's (the
 // transforms permute differently per SIMD width, so a W=4-resident buffer
 // handed to a W=8 kernel would be silently misread, never detectably).
-void check_common(const char* which, bool valid, Layout layout,
-                  int layout_width, int halo, int need_halo,
-                  const double* data, Layout accept, int want_width) {
-  if (!valid) bad_view(which, "is empty (default-constructed)");
+template <class View>
+void check_common(const char* which, const View& v, int need_halo,
+                  Layout accept, int want_width) {
+  if (!v.valid()) bad_view(which, "is empty (default-constructed)");
+  const Layout layout = v.layout();
   if (layout != Layout::Natural && layout != accept)
     bad_view(which,
              std::string("is tagged ") + layout_name(layout) +
@@ -151,22 +191,22 @@ void check_common(const char* which, bool valid, Layout layout,
                                     "execution)")
                       : std::string("natural or ") + layout_name(accept) +
                             " views (transform via to_resident_layout)"));
-  if (layout != Layout::Natural && layout_width != want_width) {
+  if (layout != Layout::Natural && v.layout_width() != want_width) {
     std::ostringstream os;
     os << "is tagged " << layout_name(layout) << " for SIMD width "
-       << layout_width << " but the prepared kernel reads width "
+       << v.layout_width() << " but the prepared kernel reads width "
        << want_width
        << "; transform via to_resident_layout on this handle (hand-tagged "
           "views must record the width: with_layout(layout, width))";
     bad_view(which, os.str());
   }
-  if (halo < need_halo) {
+  if (v.halo() < need_halo) {
     std::ostringstream os;
-    os << "has halo " << halo << " but the prepared kernel requires >= "
+    os << "has halo " << v.halo() << " but the prepared kernel requires >= "
        << need_halo;
     bad_view(which, os.str());
   }
-  if (!aligned64(data))
+  if (!aligned64(v.data()))
     bad_view(which, "interior is not 64-byte aligned (allocate via Grid or "
                     "an aligned allocator)");
 }
@@ -260,73 +300,6 @@ void check_plane_stride(const char* which, std::size_t plane, int stride,
   }
 }
 
-void validate(bool has_source, int need_halo, long nx, const FieldView1D& a,
-              const FieldView1D& b, const FieldView1D* k, Layout accept,
-              int want_width) {
-  check_common("a", a.valid(), a.layout(), a.layout_width(), a.halo(),
-               need_halo, a.data(), accept, want_width);
-  check_common("b", b.valid(), b.layout(), b.layout_width(), b.halo(),
-               need_halo, b.data(), accept, want_width);
-  check_same_layout(a.layout(), b.layout());
-  check_extent("a", "n", a.n(), nx);
-  check_extent("b", "n", b.n(), nx);
-  check_disjoint("b", b, "a", a);
-  if (has_source) {
-    if (k == nullptr)
-      throw std::invalid_argument(
-          "PreparedStencil::run: this stencil has a source term; use the "
-          "overload taking the source view 'k'");
-    // The source array's layout is independent of the pair's: a
-    // natural-tagged k is copied+transformed per call, a resident-tagged
-    // one is read zero-copy.
-    check_common("k", k->valid(), k->layout(), k->layout_width(), k->halo(),
-                 need_halo, k->data(), accept, want_width);
-    check_extent("k", "n", k->n(), nx);
-    check_disjoint("k", *k, "a", a);
-    check_disjoint("k", *k, "b", b);
-  } else if (k != nullptr) {
-    throw std::invalid_argument(
-        "PreparedStencil::run: source view 'k' passed but the prepared "
-        "stencil has no source term");
-  }
-}
-
-void validate(int need_halo, long nx, long ny, const FieldView2D& a,
-              const FieldView2D& b, Layout accept, int want_width) {
-  check_common("a", a.valid(), a.layout(), a.layout_width(), a.halo(),
-               need_halo, a.data(), accept, want_width);
-  check_common("b", b.valid(), b.layout(), b.layout_width(), b.halo(),
-               need_halo, b.data(), accept, want_width);
-  check_same_layout(a.layout(), b.layout());
-  check_extent("a", "nx", a.nx(), nx);
-  check_extent("a", "ny", a.ny(), ny);
-  check_extent("b", "nx", b.nx(), nx);
-  check_extent("b", "ny", b.ny(), ny);
-  check_stride("a", a.stride(), a.nx(), a.halo());
-  check_stride("b", b.stride(), b.nx(), b.halo());
-  check_disjoint("b", b, "a", a);
-}
-
-void validate(int need_halo, long nx, long ny, long nz, const FieldView3D& a,
-              const FieldView3D& b, Layout accept, int want_width) {
-  check_common("a", a.valid(), a.layout(), a.layout_width(), a.halo(),
-               need_halo, a.data(), accept, want_width);
-  check_common("b", b.valid(), b.layout(), b.layout_width(), b.halo(),
-               need_halo, b.data(), accept, want_width);
-  check_same_layout(a.layout(), b.layout());
-  check_extent("a", "nx", a.nx(), nx);
-  check_extent("a", "ny", a.ny(), ny);
-  check_extent("a", "nz", a.nz(), nz);
-  check_extent("b", "nx", b.nx(), nx);
-  check_extent("b", "ny", b.ny(), ny);
-  check_extent("b", "nz", b.nz(), nz);
-  check_stride("a", a.stride(), a.nx(), a.halo());
-  check_stride("b", b.stride(), b.nx(), b.halo());
-  check_plane_stride("a", a.plane_stride(), a.stride(), a.ny(), a.halo());
-  check_plane_stride("b", b.plane_stride(), b.stride(), b.ny(), b.halo());
-  check_disjoint("b", b, "a", a);
-}
-
 // The Dirichlet halo is input state on *both* ping-pong buffers (kernels
 // read whichever buffer holds the current parity), so run() mirrors a's
 // halo ring into b before executing. Interior cells are not touched —
@@ -366,218 +339,219 @@ void sync_halo(const FieldView3D& a, const FieldView3D& b) {
   }
 }
 
+// Dimensionality of a batch item type.
+template <class Item>
+constexpr int kItemDims = 0;
+template <>
+constexpr int kItemDims<TileBatch1D> = 1;
+template <>
+constexpr int kItemDims<TileBatch2D> = 2;
+template <>
+constexpr int kItemDims<TileBatch3D> = 3;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Execution
+// Per-dimension leaves of the per-call path: the shape checks, the untiled
+// kernel, and the tiled executor for one item or a batch.
 // ---------------------------------------------------------------------------
 
-void PreparedStencil::run(FieldView1D a, FieldView1D b, int tsteps) const {
-  run(a, b, FieldView1D{}, tsteps);
+void PreparedStencil::State::check_shape(const char* which,
+                                         const FieldView1D& v) const {
+  check_extent(which, "n", v.n(), nx);
 }
 
+void PreparedStencil::State::check_shape(const char* which,
+                                         const FieldView2D& v) const {
+  check_extent(which, "nx", v.nx(), nx);
+  check_extent(which, "ny", v.ny(), ny);
+  check_stride(which, v.stride(), v.nx(), v.halo());
+}
+
+void PreparedStencil::State::check_shape(const char* which,
+                                         const FieldView3D& v) const {
+  check_extent(which, "nx", v.nx(), nx);
+  check_extent(which, "ny", v.ny(), ny);
+  check_extent(which, "nz", v.nz(), nz);
+  check_stride(which, v.stride(), v.nx(), v.halo());
+  check_plane_stride(which, v.plane_stride(), v.stride(), v.ny(), v.halo());
+}
+
+template <class Item>
+void PreparedStencil::State::check(const Item& it) const {
+  const int width = kernel->width;
+  check_common("a", it.a, halo, accept, width);
+  check_common("b", it.b, halo, accept, width);
+  check_same_layout(it.a.layout(), it.b.layout());
+  check_shape("a", it.a);
+  check_shape("b", it.b);
+  check_disjoint("b", it.b, "a", it.a);
+  if constexpr (kItemDims<Item> == 1) {
+    if (spec.has_source && it.k == nullptr)
+      throw std::invalid_argument(
+          "PreparedStencil::run: this stencil has a source term; use the "
+          "overload taking the source view 'k'");
+    if (!spec.has_source && it.k != nullptr)
+      throw std::invalid_argument(
+          "PreparedStencil::run: source view 'k' passed but the prepared "
+          "stencil has no source term");
+    if (it.k != nullptr) {
+      // The source array's layout is independent of the pair's: a
+      // natural-tagged k is copied+transformed per call, a resident-tagged
+      // one is read zero-copy.
+      check_common("k", *it.k, halo, accept, width);
+      check_shape("k", *it.k);
+      check_disjoint("k", *it.k, "a", it.a);
+      check_disjoint("k", *it.k, "b", it.b);
+    }
+  }
+}
+
+const Pattern1D* PreparedStencil::State::source() const {
+  return spec.has_source ? &spec.src1 : nullptr;
+}
+
+void PreparedStencil::State::run_kernel(const TileBatch1D& it,
+                                        int nsteps) const {
+  kernel->run1(spec.p1, it.a, it.b, source(), it.k, nsteps);
+}
+void PreparedStencil::State::run_kernel(const TileBatch2D& it,
+                                        int nsteps) const {
+  kernel->run2(spec.p2, it.a, it.b, nsteps);
+}
+void PreparedStencil::State::run_kernel(const TileBatch3D& it,
+                                        int nsteps) const {
+  kernel->run3(spec.p3, it.a, it.b, nsteps);
+}
+
+void PreparedStencil::State::run_tiled(const One<TileBatch1D>& one,
+                                       int nsteps) const {
+  run_tile_plan(spec.p1, one[0].a, one[0].b, source(), one[0].k, nsteps,
+                plan.tile);
+}
+void PreparedStencil::State::run_tiled(const One<TileBatch2D>& one,
+                                       int nsteps) const {
+  run_tile_plan(spec.p2, one[0].a, one[0].b, nsteps, plan.tile);
+}
+void PreparedStencil::State::run_tiled(const One<TileBatch3D>& one,
+                                       int nsteps) const {
+  run_tile_plan(spec.p3, one[0].a, one[0].b, nsteps, plan.tile);
+}
+void PreparedStencil::State::run_tiled(const std::vector<TileBatch1D>& items,
+                                       int nsteps) const {
+  run_tile_plan_batch(spec.p1, items, source(), nsteps, plan.tile);
+}
+void PreparedStencil::State::run_tiled(const std::vector<TileBatch2D>& items,
+                                       int nsteps) const {
+  run_tile_plan_batch(spec.p2, items, nsteps, plan.tile);
+}
+void PreparedStencil::State::run_tiled(const std::vector<TileBatch3D>& items,
+                                       int nsteps) const {
+  run_tile_plan_batch(spec.p3, items, nsteps, plan.tile);
+}
+
+// ---------------------------------------------------------------------------
+// The per-call path
+// ---------------------------------------------------------------------------
+
+template <class Items>
+const PreparedStencil::State& PreparedStencil::State::checked(
+    const State* st, const char* entry, const Items& items) {
+  using Item = typename Items::value_type;
+  if (st == nullptr)
+    throw std::invalid_argument(std::string("PreparedStencil::") + entry +
+                                " on an empty handle");
+  if (st->spec.dims != kItemDims<Item>)
+    throw std::invalid_argument(
+        std::to_string(kItemDims<Item>) + "-D " + entry +
+        "() on a stencil prepared for " + std::to_string(st->spec.dims) +
+        "-D");
+  // Every item is checked before any is touched: a batch with one bad item
+  // leaves all of its fields as they were.
+  for (const Item& it : items) st->check(it);
+  return *st;
+}
+
+template <class Items>
+void PreparedStencil::State::execute(const State* st, const char* entry,
+                                     const Items& items, int nsteps) {
+  const State& s = checked(st, entry, items);
+  if (s.halo_policy == HaloPolicy::Sync)
+    for (const auto& it : items) sync_halo(it.a, it.b);
+  if (s.plan.tiled) {
+    s.run_tiled(items, nsteps);
+  } else if (items.size() > 1 && s.threads != 1) {
+    // Untiled plan: the batch *is* the parallelism — fan the independent
+    // per-item kernel runs over the shared pool in one dispatch.
+    shared_pool(s.threads, s.affinity)
+        ->parallel_for(0, static_cast<int>(items.size()), [&](int i) {
+          s.run_kernel(items[static_cast<std::size_t>(i)], nsteps);
+        });
+  } else {
+    for (const auto& it : items) s.run_kernel(it, nsteps);
+  }
+}
+
+// The public entry points: each builds its one item (or hands over the
+// caller's batch) and forwards.
+
+void PreparedStencil::run(FieldView1D a, FieldView1D b, int tsteps) const {
+  State::execute(st_.get(), "run", One<TileBatch1D>{{{a, b, nullptr}}},
+                 tsteps);
+}
 void PreparedStencil::run(FieldView1D a, FieldView1D b, FieldView1D k,
                           int tsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument("PreparedStencil::run on an empty handle");
-  if (st_->spec.dims != 1)
-    throw std::invalid_argument("1-D run() on a stencil prepared for " +
-                                std::to_string(st_->spec.dims) + "-D");
-  const FieldView1D* kk = k.valid() ? &k : nullptr;
-  if (st_->validate)
-    validate(st_->spec.has_source, st_->halo, st_->nx, a, b, kk, st_->accept,
-             st_->kernel->width);
-  if (st_->halo_policy == HaloPolicy::Sync) sync_halo(a, b);
-  const Pattern1D* src = st_->spec.has_source ? &st_->spec.src1 : nullptr;
-  if (st_->plan.tiled)
-    run_tile_plan(st_->spec.p1, a, b, src, kk, tsteps, st_->plan.tile);
-  else
-    st_->kernel->run1(st_->spec.p1, a, b, src, kk, tsteps);
+  State::execute(st_.get(), "run",
+                 One<TileBatch1D>{{{a, b, k.valid() ? &k : nullptr}}}, tsteps);
 }
-
 void PreparedStencil::run(FieldView2D a, FieldView2D b, int tsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument("PreparedStencil::run on an empty handle");
-  if (st_->spec.dims != 2)
-    throw std::invalid_argument("2-D run() on a stencil prepared for " +
-                                std::to_string(st_->spec.dims) + "-D");
-  if (st_->validate)
-    validate(st_->halo, st_->nx, st_->ny, a, b, st_->accept,
-             st_->kernel->width);
-  if (st_->halo_policy == HaloPolicy::Sync) sync_halo(a, b);
-  if (st_->plan.tiled)
-    run_tile_plan(st_->spec.p2, a, b, tsteps, st_->plan.tile);
-  else
-    st_->kernel->run2(st_->spec.p2, a, b, tsteps);
+  State::execute(st_.get(), "run", One<TileBatch2D>{{{a, b}}}, tsteps);
 }
-
 void PreparedStencil::run(FieldView3D a, FieldView3D b, int tsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument("PreparedStencil::run on an empty handle");
-  if (st_->spec.dims != 3)
-    throw std::invalid_argument("3-D run() on a stencil prepared for " +
-                                std::to_string(st_->spec.dims) + "-D");
-  if (st_->validate)
-    validate(st_->halo, st_->nx, st_->ny, st_->nz, a, b, st_->accept,
-             st_->kernel->width);
-  if (st_->halo_policy == HaloPolicy::Sync) sync_halo(a, b);
-  if (st_->plan.tiled)
-    run_tile_plan(st_->spec.p3, a, b, tsteps, st_->plan.tile);
-  else
-    st_->kernel->run3(st_->spec.p3, a, b, tsteps);
+  State::execute(st_.get(), "run", One<TileBatch3D>{{{a, b}}}, tsteps);
 }
 
 void PreparedStencil::advance(FieldView1D a, FieldView1D b,
                               int nsteps) const {
-  run(a, b, nsteps);
+  State::execute(st_.get(), "advance", One<TileBatch1D>{{{a, b, nullptr}}},
+                 nsteps);
 }
 void PreparedStencil::advance(FieldView1D a, FieldView1D b, FieldView1D k,
                               int nsteps) const {
-  run(a, b, k, nsteps);
+  State::execute(st_.get(), "advance",
+                 One<TileBatch1D>{{{a, b, k.valid() ? &k : nullptr}}}, nsteps);
 }
 void PreparedStencil::advance(FieldView2D a, FieldView2D b,
                               int nsteps) const {
-  run(a, b, nsteps);
+  State::execute(st_.get(), "advance", One<TileBatch2D>{{{a, b}}}, nsteps);
 }
 void PreparedStencil::advance(FieldView3D a, FieldView3D b,
                               int nsteps) const {
-  run(a, b, nsteps);
+  State::execute(st_.get(), "advance", One<TileBatch3D>{{{a, b}}}, nsteps);
 }
 
 void PreparedStencil::validate_views(FieldView1D a, FieldView1D b,
                                      const FieldView1D* k) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::validate_views on an empty handle");
-  if (st_->spec.dims != 1)
-    throw std::invalid_argument(
-        "1-D validate_views() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  validate(st_->spec.has_source, st_->halo, st_->nx, a, b, k, st_->accept,
-           st_->kernel->width);
+  State::checked(st_.get(), "validate_views", One<TileBatch1D>{{{a, b, k}}});
 }
-
 void PreparedStencil::validate_views(FieldView2D a, FieldView2D b) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::validate_views on an empty handle");
-  if (st_->spec.dims != 2)
-    throw std::invalid_argument(
-        "2-D validate_views() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  validate(st_->halo, st_->nx, st_->ny, a, b, st_->accept,
-           st_->kernel->width);
+  State::checked(st_.get(), "validate_views", One<TileBatch2D>{{{a, b}}});
 }
-
 void PreparedStencil::validate_views(FieldView3D a, FieldView3D b) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::validate_views on an empty handle");
-  if (st_->spec.dims != 3)
-    throw std::invalid_argument(
-        "3-D validate_views() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  validate(st_->halo, st_->nx, st_->ny, st_->nz, a, b, st_->accept,
-           st_->kernel->width);
+  State::checked(st_.get(), "validate_views", One<TileBatch3D>{{{a, b}}});
 }
 
 void PreparedStencil::advance_batch(const std::vector<TileBatch1D>& items,
                                     int nsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::advance_batch on an empty handle");
-  if (st_->spec.dims != 1)
-    throw std::invalid_argument(
-        "1-D advance_batch() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  if (items.empty()) return;
-  for (const TileBatch1D& it : items) {
-    if (st_->validate)
-      validate(st_->spec.has_source, st_->halo, st_->nx, it.a, it.b, it.k,
-               st_->accept, st_->kernel->width);
-    if (st_->halo_policy == HaloPolicy::Sync) sync_halo(it.a, it.b);
-  }
-  const Pattern1D* src = st_->spec.has_source ? &st_->spec.src1 : nullptr;
-  if (st_->plan.tiled) {
-    run_tile_plan_batch(st_->spec.p1, items, src, nsteps, st_->plan.tile);
-    return;
-  }
-  // Untiled plan: the batch *is* the parallelism — fan the independent
-  // per-item kernel runs over the shared pool in one dispatch.
-  if (items.size() > 1 && st_->threads != 1) {
-    shared_pool(st_->threads, st_->affinity)
-        ->parallel_for(0, static_cast<int>(items.size()), [&](int i) {
-          const TileBatch1D& it = items[static_cast<std::size_t>(i)];
-          st_->kernel->run1(st_->spec.p1, it.a, it.b, src, it.k, nsteps);
-        });
-  } else {
-    for (const TileBatch1D& it : items)
-      st_->kernel->run1(st_->spec.p1, it.a, it.b, src, it.k, nsteps);
-  }
+  State::execute(st_.get(), "advance_batch", items, nsteps);
 }
-
 void PreparedStencil::advance_batch(const std::vector<TileBatch2D>& items,
                                     int nsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::advance_batch on an empty handle");
-  if (st_->spec.dims != 2)
-    throw std::invalid_argument(
-        "2-D advance_batch() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  if (items.empty()) return;
-  for (const TileBatch2D& it : items) {
-    if (st_->validate)
-      validate(st_->halo, st_->nx, st_->ny, it.a, it.b, st_->accept,
-               st_->kernel->width);
-    if (st_->halo_policy == HaloPolicy::Sync) sync_halo(it.a, it.b);
-  }
-  if (st_->plan.tiled) {
-    run_tile_plan_batch(st_->spec.p2, items, nsteps, st_->plan.tile);
-    return;
-  }
-  if (items.size() > 1 && st_->threads != 1) {
-    shared_pool(st_->threads, st_->affinity)
-        ->parallel_for(0, static_cast<int>(items.size()), [&](int i) {
-          const TileBatch2D& it = items[static_cast<std::size_t>(i)];
-          st_->kernel->run2(st_->spec.p2, it.a, it.b, nsteps);
-        });
-  } else {
-    for (const TileBatch2D& it : items)
-      st_->kernel->run2(st_->spec.p2, it.a, it.b, nsteps);
-  }
+  State::execute(st_.get(), "advance_batch", items, nsteps);
 }
-
 void PreparedStencil::advance_batch(const std::vector<TileBatch3D>& items,
                                     int nsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::advance_batch on an empty handle");
-  if (st_->spec.dims != 3)
-    throw std::invalid_argument(
-        "3-D advance_batch() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  if (items.empty()) return;
-  for (const TileBatch3D& it : items) {
-    if (st_->validate)
-      validate(st_->halo, st_->nx, st_->ny, st_->nz, it.a, it.b, st_->accept,
-               st_->kernel->width);
-    if (st_->halo_policy == HaloPolicy::Sync) sync_halo(it.a, it.b);
-  }
-  if (st_->plan.tiled) {
-    run_tile_plan_batch(st_->spec.p3, items, nsteps, st_->plan.tile);
-    return;
-  }
-  if (items.size() > 1 && st_->threads != 1) {
-    shared_pool(st_->threads, st_->affinity)
-        ->parallel_for(0, static_cast<int>(items.size()), [&](int i) {
-          const TileBatch3D& it = items[static_cast<std::size_t>(i)];
-          st_->kernel->run3(st_->spec.p3, it.a, it.b, nsteps);
-        });
-  } else {
-    for (const TileBatch3D& it : items)
-      st_->kernel->run3(st_->spec.p3, it.a, it.b, nsteps);
-  }
+  State::execute(st_.get(), "advance_batch", items, nsteps);
 }
 
 // ---------------------------------------------------------------------------
@@ -865,7 +839,6 @@ void resolve_request(const StencilSpec& spec, Extents& ext, ExecOptions& opts,
   reject_negative("ExecOptions::time_block", opts.time_block);
   if (opts.affinity == Affinity::None) opts.affinity = env_affinity();
   if (opts.threads == 0) opts.threads = env_threads();
-  opts.validate = opts.validate && env_validate();
   if (ext.nx == 0) ext.nx = spec.small_size[0];
   if (ext.ny == 0) ext.ny = spec.dims >= 2 ? spec.small_size[1] : 1;
   if (ext.nz == 0) ext.nz = spec.dims >= 3 ? spec.small_size[2] : 1;
@@ -894,7 +867,6 @@ std::uint64_t request_key(std::uint64_t spec_hash, const Extents& ext,
   h = fnv1a(h, static_cast<std::uint64_t>(o.layout));
   h = fnv1a(h, static_cast<std::uint64_t>(o.halo_policy));
   h = fnv1a(h, static_cast<std::uint64_t>(o.affinity));
-  h = fnv1a(h, o.validate ? 1u : 0u);
   return h;
 }
 
@@ -982,7 +954,6 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
            e.opts.layout == opts.layout &&
            e.opts.halo_policy == opts.halo_policy &&
            e.opts.affinity == opts.affinity &&
-           e.opts.validate == opts.validate &&
            same_spec(e.state->spec, spec);
   };
   auto tuner_fresh = [](const CacheEntry& e) {
@@ -1030,7 +1001,6 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
   st->accept = opts.layout;
   st->halo_policy = opts.halo_policy;
   st->affinity = opts.affinity;
-  st->validate = opts.validate;
   if (opts.layout != Layout::Natural && opts.layout != st->preferred)
     throw std::invalid_argument(
         std::string("Engine::prepare: ExecOptions::layout requests ") +

@@ -96,14 +96,6 @@ struct ExecOptions {
   ///< leaves workers unpinned — results are bitwise identical across
   ///< policies; placement changes locality only. When left at None the
   ///< process-wide `SF_AFFINITY` default applies.
-  bool validate = true;
-  ///< Per-call FieldView validation in run()/advance(). Default on; the
-  ///< debug-only escape hatch (`validate = false`, or `SF_VALIDATE=0`
-  ///< process-wide) removes the residual O(1) checks from streaming
-  ///< advance() loops — combined with HaloPolicy::Clean a call is then
-  ///< pure kernel dispatch. Invalid views are undefined behavior once
-  ///< validation is off; keep it on everywhere except profiled-clean
-  ///< streaming hot loops.
 };
 
 /// Immutable, thread-safe handle to one prepared stencil execution: the
@@ -159,15 +151,13 @@ class PreparedStencil {
   /// The resolved worker placement policy (ExecOptions::affinity after the
   /// SF_AFFINITY default applied).
   Affinity affinity() const;
-  /// True when run()/advance() validate views per call (the default).
-  bool validates() const;
   /// Stable hash of the *effective* prepare request this handle was built
   /// from (stencil pattern + extents + horizon + every resolved ExecOptions
   /// field). Two handles share a plan key exactly when Engine::prepare
-  /// would serve them from one cache entry — same kernel, geometry, pool
-  /// and validation behavior — so requests with equal keys are safely
-  /// batchable through advance_batch(). This is the key the serving
-  /// batcher (serving/server.hpp) groups submissions by.
+  /// would serve them from one cache entry — same kernel, geometry and
+  /// pool — so requests with equal keys are safely batchable through
+  /// advance_batch(). This is the key the serving batcher
+  /// (serving/server.hpp) groups submissions by.
   std::uint64_t plan_key() const;
   /// The persistent worker pool the tiled stages execute on — shared per
   /// (threads, affinity) configuration and reused across prepare() calls —
@@ -217,13 +207,14 @@ class PreparedStencil {
   /// run_tile_plan_batch) instead of one per item — the serving batcher's
   /// execution primitive, amortizing dispatch and barrier cost across N
   /// same-plan small grids. Per-item semantics are exactly advance(): each
-  /// item is validated (unless prepared with validate off), halo-synced per
-  /// the prepared HaloPolicy, and its result lands in its `a`; results are
-  /// bitwise identical to sequential advance() calls. Items must all match
-  /// this handle's prepared geometry, and buffers of distinct items must be
-  /// pairwise disjoint (not cross-checked — each item's views are validated
-  /// individually). A 1-D prepared stencil with a source term reads each
-  /// item's own `k` view.
+  /// item is validated, halo-synced per the prepared HaloPolicy, and its
+  /// result lands in its `a`; results are bitwise identical to sequential
+  /// advance() calls. Every item is validated before any is touched, so a
+  /// batch with one bad item throws std::invalid_argument and leaves all
+  /// fields as they were. Items must all match this handle's prepared
+  /// geometry, and buffers of distinct items must be pairwise disjoint (not
+  /// cross-checked — each item's views are validated individually). A 1-D
+  /// prepared stencil with a source term reads each item's own `k` view.
   void advance_batch(const std::vector<TileBatch1D>& items, int nsteps) const;
   /// 2-D overload of advance_batch().
   void advance_batch(const std::vector<TileBatch2D>& items, int nsteps) const;
@@ -231,10 +222,10 @@ class PreparedStencil {
   void advance_batch(const std::vector<TileBatch3D>& items, int nsteps) const;
 
   /// Validates a 1-D view pair (plus optional source array) against the
-  /// prepared geometry exactly as run() does — unconditionally, even on
-  /// handles prepared with validation off. Throws std::invalid_argument on
-  /// mismatch. The serving front end calls this at submit time so a bad
-  /// request is rejected on the client thread instead of poisoning a batch.
+  /// prepared geometry exactly as run() does, without executing. Throws
+  /// std::invalid_argument on mismatch. The serving front end calls this at
+  /// submit time so a bad request is rejected on the client thread instead
+  /// of poisoning a batch.
   void validate_views(FieldView1D a, FieldView1D b,
                       const FieldView1D* k = nullptr) const;
   /// 2-D overload of validate_views().
@@ -293,7 +284,7 @@ class Engine {
 
   /// The plan key prepare() would assign this request: the stable hash of
   /// the effective request after environment defaults (SF_AFFINITY,
-  /// SF_THREADS, SF_VALIDATE) and preset extent/horizon fallbacks are
+  /// SF_THREADS) and preset extent/horizon fallbacks are
   /// resolved — the same value PreparedStencil::plan_key() reports on the
   /// resulting handle. Lets a batcher group requests before preparing.
   /// Throws std::invalid_argument for the negative and oversized inputs

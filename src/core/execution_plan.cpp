@@ -82,6 +82,11 @@ long working_set_bytes(long nx, long ny, long nz) {
 
 namespace {
 
+// Working-set floor below which Tiling::Auto stays untiled even on
+// multicore: smaller problems lose more to stage barriers than they gain
+// from parallel wedges.
+constexpr long kTileMinBytes = 2L << 20;
+
 // The Tiling::Auto decision against an already-negotiated geometry (shared
 // by tiling_profitable and plan_execution so the geometry is computed
 // once and the two can never drift apart).
@@ -95,7 +100,7 @@ bool profitable_at(const PlanRequest& req, const WedgeGeometry& g) {
   if (g.threads > 1) {
     // The untiled executors are serial, so parallel wedges win on anything
     // sizable; below the floor the stage barriers eat the gain.
-    return bytes >= tile_min_bytes();
+    return bytes >= kTileMinBytes;
   }
   // Single-threaded split tiling is purely a cache-blocking play (Fig. 8):
   // profitable only once the ping-pong pair falls out of the LLC.

@@ -17,7 +17,7 @@
 ///     runs never amortize a stage barrier;
 ///  3. the negotiated wedge geometry must actually block (disjoint wedges,
 ///     see negotiate_wedge);
-///  4. the working set must be worth it: at least SF_TILE_MIN_BYTES when
+///  4. the working set must be worth it: at least 2 MiB when
 ///     multiple threads are available (parallel wedges win on anything
 ///     sizable because the untiled executors are serial), or larger than
 ///     the last-level cache in the single-threaded case (where split tiling

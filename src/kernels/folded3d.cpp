@@ -96,7 +96,6 @@ void folded3d_advance(const Pattern3D& p, const FoldingPlan& plan,
   const int nxv = nbx * W;
   const int nyv = ny - ny % W;
   const int nwin = 2 * R + 1;
-  const int ncols = nxv + 2 * R;  // columns [-R, nxv+R)
 
   // window[slot * nsrc + src] holds one plane's counterpart columns for the
   // current band; column x lives at offset (x + R) * W.

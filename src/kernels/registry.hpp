@@ -52,8 +52,8 @@ struct KernelInfo {
   int fold_depth;    ///< Temporal folding factor m; 1 = single-step.
   int halo_floor;    ///< Extra halo the vector path reads beyond fold_depth*r.
   int max_radius;    ///< Largest pattern radius the optimized path handles
-                     ///< (0 = any, -1 = never engages); beyond it the kernel
-                     ///< falls back internally.
+                     ///< (0 = any); beyond it the kernel falls back
+                     ///< internally.
   int tiled_max_radius;  ///< Largest radius the temporal split-tiling stage
                          ///< implementation handles (0 = any, -1 = no tiled
                          ///< stage exists: tiling requests fall back to the
@@ -82,7 +82,6 @@ struct KernelInfo {
 
   /// True if the optimized (vectorized/folded) path engages at this radius.
   bool supports(int radius) const {
-    if (max_radius < 0) return false;
     return max_radius == 0 || radius <= max_radius;
   }
 

@@ -7,12 +7,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <variant>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "telemetry/telemetry.hpp"
@@ -42,13 +43,12 @@ double seconds_between(Clock::time_point t0, Clock::time_point t1) {
 /// One accepted submission, heap-allocated by submit() and owned by the
 /// dispatcher from the moment it enters the ring. The views stay borrowed
 /// from the caller (the zero-copy contract); only the small request record
-/// itself is allocated.
+/// itself is allocated. A 1-D item's source view is held in `k`, which the
+/// item's `k` pointer then refers to.
 struct Request {
   PreparedStencil ps;
-  int dims = 0;
-  FieldView1D a1, b1, k1;
-  FieldView2D a2, b2;
-  FieldView3D a3, b3;
+  std::variant<TileBatch1D, TileBatch2D, TileBatch3D> item;
+  FieldView1D k;
   int nsteps = 0;
   std::string tenant;
   std::uint64_t plan = 0;  // the handle's plan_key (tenant plan budget)
@@ -219,8 +219,54 @@ struct Server::Impl {
     return p.get_future();
   }
 
-  /// Admission + enqueue shared by every submit() overload. Takes ownership
-  /// of `req` (deletes it on rejection).
+  /// The one submit() path: checks the handle, nsteps and the item's views
+  /// on the client thread (a failure rejects with Reject::BadRequest), then
+  /// records the request and admits it.
+  template <class Item>
+  std::future<ServeResult> submit(const std::string& tenant,
+                                  const PreparedStencil& ps, const Item& item,
+                                  int nsteps) {
+    std::string why;
+    if (!ps.valid()) {
+      why = "empty PreparedStencil handle";
+    } else if (nsteps < 0) {
+      why = "nsteps = " + std::to_string(nsteps) + " is negative";
+    } else {
+      try {
+        if constexpr (std::is_same_v<Item, TileBatch1D>)
+          ps.validate_views(item.a, item.b, item.k);
+        else
+          ps.validate_views(item.a, item.b);
+      } catch (const std::invalid_argument& e) {
+        why = e.what();
+      }
+    }
+    if (!why.empty()) {
+      // relaxed: stats tally (see reject()).
+      n_submitted.fetch_add(1, std::memory_order_relaxed);
+      t_submitted.add(1);
+      return reject(Reject::BadRequest, why);
+    }
+    Request* r = new Request;
+    r->ps = ps;
+    r->item = item;
+    if constexpr (std::is_same_v<Item, TileBatch1D>) {
+      if (item.k != nullptr) {
+        r->k = *item.k;
+        std::get<TileBatch1D>(r->item).k = &r->k;
+      }
+    }
+    r->tenant = tenant;
+    r->nsteps = nsteps;
+    r->plan = ps.plan_key();
+    // Fold nsteps into the group key: only same-horizon requests batch.
+    r->key = r->plan * 1099511628211ull + static_cast<std::uint64_t>(nsteps);
+    r->submitted = Clock::now();
+    return admit(r);
+  }
+
+  /// Admission + enqueue of a checked request. Takes ownership of `req`
+  /// (deletes it on rejection).
   std::future<ServeResult> admit(Request* req) {
     telemetry::Span span("serve.submit");
     // relaxed: stats tally (see reject()).
@@ -319,33 +365,20 @@ struct Server::Impl {
     const Clock::time_point t_dispatch = Clock::now();
     std::string error;
     try {
-      Request& lead = *group[0];
-      // Group members share a plan key, so any member's handle describes
-      // the whole group's geometry and pool; execute through the leader's.
-      switch (lead.dims) {
-        case 1: {
-          std::vector<TileBatch1D> items;
-          items.reserve(group.size());
-          for (Request* r : group)
-            items.push_back({r->a1, r->b1, r->k1.valid() ? &r->k1 : nullptr});
-          lead.ps.advance_batch(items, lead.nsteps);
-          break;
-        }
-        case 2: {
-          std::vector<TileBatch2D> items;
-          items.reserve(group.size());
-          for (Request* r : group) items.push_back({r->a2, r->b2});
-          lead.ps.advance_batch(items, lead.nsteps);
-          break;
-        }
-        default: {
-          std::vector<TileBatch3D> items;
-          items.reserve(group.size());
-          for (Request* r : group) items.push_back({r->a3, r->b3});
-          lead.ps.advance_batch(items, lead.nsteps);
-          break;
-        }
-      }
+      const Request& lead = *group[0];
+      // Group members share a plan key (which covers the dimensionality),
+      // so any member's handle describes the whole group's geometry and
+      // pool; execute through the leader's.
+      std::visit(
+          [&](const auto& lead_item) {
+            using Item = std::decay_t<decltype(lead_item)>;
+            std::vector<Item> items;
+            items.reserve(group.size());
+            for (const Request* r : group)
+              items.push_back(std::get<Item>(r->item));
+            lead.ps.advance_batch(items, lead.nsteps);
+          },
+          lead.item);
     } catch (const std::exception& e) {
       error = e.what();
     } catch (...) {
@@ -380,7 +413,7 @@ struct Server::Impl {
   }
 
   /// The dispatcher: drain up to the round's cap (max_batch, adaptively
-  /// lowered from the observed queue depth unless disabled), group by
+  /// lowered from the observed queue depth), group by
   /// (plan key, nsteps) preserving first-appearance order, execute each
   /// group batched. Exits only when stopped *and* the ring is empty, so
   /// shutdown drains every accepted request.
@@ -396,14 +429,13 @@ struct Server::Impl {
     // run uncapped, and the cap is computed *before* the current
     // observation is pushed, so one deep wakeup already runs under the
     // previous cap while widening the next round's.
-    const bool adaptive = opts.adaptive_batch && env_adaptive_batch();
     long depth_window[16];
     for (long& d : depth_window) d = opts.max_batch;
     std::size_t window_at = 0;
     int last_cap = opts.max_batch;
     // Gauge-by-delta seed: the counter's running total tracks the current
     // cap, starting at the configured max_batch.
-    if (adaptive) t_adaptive.add(last_cap);
+    t_adaptive.add(last_cap);
     for (;;) {
       {
         UniqueLock lock(bell_mu);
@@ -419,19 +451,16 @@ struct Server::Impl {
       // read and orders nothing.
       const long depth = pending.load(std::memory_order_relaxed);
       if (depth > 0 && t_queue_depth.live()) t_queue_depth.record(depth);
-      int cap = opts.max_batch;
-      if (adaptive) {
-        long peak = 0;
-        for (long d : depth_window) peak = std::max(peak, d);
-        cap = static_cast<int>(
-            std::min<long>(opts.max_batch, std::max(1L, 2 * peak)));
-        depth_window[window_at++ % 16] = depth > 0 ? depth : 0;
-        if (cap != last_cap) {
-          // Gauge-by-delta: the counter's running total tracks the current
-          // cap (may step down as well as up).
-          t_adaptive.add(cap - last_cap);
-          last_cap = cap;
-        }
+      long peak = 0;
+      for (long d : depth_window) peak = std::max(peak, d);
+      const int cap = static_cast<int>(
+          std::min<long>(opts.max_batch, std::max(1L, 2 * peak)));
+      depth_window[window_at++ % 16] = depth > 0 ? depth : 0;
+      if (cap != last_cap) {
+        // Gauge-by-delta: the counter's running total tracks the current
+        // cap (may step down as well as up).
+        t_adaptive.add(cap - last_cap);
+        last_cap = cap;
       }
       round.clear();
       while (static_cast<int>(round.size()) < cap) {
@@ -495,120 +524,33 @@ Server::~Server() {
   }
 }
 
-namespace {
-
-/// Builds the request record common to every overload; returns null and a
-/// rejection message when validation fails.
-Request* make_request(const std::string& tenant, const PreparedStencil& ps,
-                      int nsteps, std::string* why) {
-  if (!ps.valid()) {
-    *why = "empty PreparedStencil handle";
-    return nullptr;
-  }
-  if (nsteps < 0) {
-    *why = "nsteps = " + std::to_string(nsteps) + " is negative";
-    return nullptr;
-  }
-  Request* r = new Request;
-  r->ps = ps;
-  r->tenant = tenant;
-  r->nsteps = nsteps;
-  r->plan = ps.plan_key();
-  // Fold nsteps into the group key: only same-horizon requests batch.
-  r->key = r->plan * 1099511628211ull + static_cast<std::uint64_t>(nsteps);
-  r->submitted = Clock::now();
-  return r;
-}
-
-}  // namespace
-
 std::future<ServeResult> Server::submit(const std::string& tenant,
                                         const PreparedStencil& ps,
                                         FieldView1D a, FieldView1D b,
                                         int nsteps) {
-  return submit(tenant, ps, a, b, FieldView1D{}, nsteps);
+  return impl_->submit(tenant, ps, TileBatch1D{a, b, nullptr}, nsteps);
 }
 
 std::future<ServeResult> Server::submit(const std::string& tenant,
                                         const PreparedStencil& ps,
                                         FieldView1D a, FieldView1D b,
                                         FieldView1D k, int nsteps) {
-  std::string why;
-  Request* r = make_request(tenant, ps, nsteps, &why);
-  if (r != nullptr) {
-    try {
-      ps.validate_views(a, b, k.valid() ? &k : nullptr);
-    } catch (const std::invalid_argument& e) {
-      delete r;
-      r = nullptr;
-      why = e.what();
-    }
-  }
-  if (r == nullptr) {
-    // relaxed: stats tally (see Impl::reject()).
-    impl_->n_submitted.fetch_add(1, std::memory_order_relaxed);
-    impl_->t_submitted.add(1);
-    return impl_->reject(Reject::BadRequest, why);
-  }
-  r->dims = 1;
-  r->a1 = a;
-  r->b1 = b;
-  r->k1 = k;
-  return impl_->admit(r);
+  return impl_->submit(tenant, ps,
+                       TileBatch1D{a, b, k.valid() ? &k : nullptr}, nsteps);
 }
 
 std::future<ServeResult> Server::submit(const std::string& tenant,
                                         const PreparedStencil& ps,
                                         FieldView2D a, FieldView2D b,
                                         int nsteps) {
-  std::string why;
-  Request* r = make_request(tenant, ps, nsteps, &why);
-  if (r != nullptr) {
-    try {
-      ps.validate_views(a, b);
-    } catch (const std::invalid_argument& e) {
-      delete r;
-      r = nullptr;
-      why = e.what();
-    }
-  }
-  if (r == nullptr) {
-    // relaxed: stats tally (see Impl::reject()).
-    impl_->n_submitted.fetch_add(1, std::memory_order_relaxed);
-    impl_->t_submitted.add(1);
-    return impl_->reject(Reject::BadRequest, why);
-  }
-  r->dims = 2;
-  r->a2 = a;
-  r->b2 = b;
-  return impl_->admit(r);
+  return impl_->submit(tenant, ps, TileBatch2D{a, b}, nsteps);
 }
 
 std::future<ServeResult> Server::submit(const std::string& tenant,
                                         const PreparedStencil& ps,
                                         FieldView3D a, FieldView3D b,
                                         int nsteps) {
-  std::string why;
-  Request* r = make_request(tenant, ps, nsteps, &why);
-  if (r != nullptr) {
-    try {
-      ps.validate_views(a, b);
-    } catch (const std::invalid_argument& e) {
-      delete r;
-      r = nullptr;
-      why = e.what();
-    }
-  }
-  if (r == nullptr) {
-    // relaxed: stats tally (see Impl::reject()).
-    impl_->n_submitted.fetch_add(1, std::memory_order_relaxed);
-    impl_->t_submitted.add(1);
-    return impl_->reject(Reject::BadRequest, why);
-  }
-  r->dims = 3;
-  r->a3 = a;
-  r->b3 = b;
-  return impl_->admit(r);
+  return impl_->submit(tenant, ps, TileBatch3D{a, b}, nsteps);
 }
 
 void Server::drain() {

@@ -80,15 +80,14 @@ struct ServerOptions {
                               ///< rejects with Reject::QueueFull.
   int max_batch = 64;  ///< Max requests drained per dispatch round — the
                        ///< batching window. Same-plan requests within one
-                       ///< round execute as one advance_batch() call.
-  bool adaptive_batch = true;
-  ///< Let the dispatcher adapt its per-round drain cap to the observed
-  ///< queue depth (twice the recent peak, never above max_batch): lightly
-  ///< loaded servers dispatch small low-latency rounds, backlogged ones
-  ///< open the full window. The current cap is exported as the
-  ///< `serving.adaptive_batch` gauge. Set false — or `SF_ADAPTIVE_BATCH=0`
-  ///< process-wide — to pin the cap at max_batch (the historical
-  ///< behavior).
+                       ///< round execute as one advance_batch() call. The
+                       ///< dispatcher adapts each round's drain cap to the
+                       ///< observed queue depth (twice the recent peak,
+                       ///< never above max_batch): a lightly loaded server
+                       ///< dispatches small low-latency rounds, a
+                       ///< backlogged one opens the full window. The
+                       ///< current cap is exported as the
+                       ///< `serving.adaptive_batch` gauge.
   int tenant_max_inflight = 0;  ///< Per-tenant cap on requests accepted but
                                 ///< not yet completed (0 = unlimited).
   int tenant_max_plans = 0;  ///< Per-tenant cap on *distinct* plan keys

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -368,6 +369,173 @@ TEST(Engine, EnforcesSourceArity) {
                std::invalid_argument);
   EXPECT_THROW(apop.run(a.view(), b.view(), a.view(), 2),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Error-path table: every per-call entry point (run, advance,
+// validate_views, advance_batch) in every dimensionality throws
+// std::invalid_argument for an empty handle, views of the wrong
+// dimensionality, one bad item among three, and (1-D) a source view the
+// stencil does not take or lacks.
+// ---------------------------------------------------------------------------
+
+enum class Entry { Run, Advance, ValidateViews, AdvanceBatch };
+constexpr Entry kEntries[] = {Entry::Run, Entry::Advance,
+                              Entry::ValidateViews, Entry::AdvanceBatch};
+
+const char* entry_name(Entry e) {
+  switch (e) {
+    case Entry::Run: return "run";
+    case Entry::Advance: return "advance";
+    case Entry::ValidateViews: return "validate_views";
+    default: return "advance_batch";
+  }
+}
+
+void call_one(const PreparedStencil& ps, Entry e, const TileBatch1D& it) {
+  switch (e) {
+    case Entry::Run:
+      if (it.k != nullptr) ps.run(it.a, it.b, *it.k, 1);
+      else ps.run(it.a, it.b, 1);
+      break;
+    case Entry::Advance:
+      if (it.k != nullptr) ps.advance(it.a, it.b, *it.k, 1);
+      else ps.advance(it.a, it.b, 1);
+      break;
+    default: ps.validate_views(it.a, it.b, it.k); break;
+  }
+}
+
+template <class Item>
+void call_one(const PreparedStencil& ps, Entry e, const Item& it) {
+  switch (e) {
+    case Entry::Run: ps.run(it.a, it.b, 1); break;
+    case Entry::Advance: ps.advance(it.a, it.b, 1); break;
+    default: ps.validate_views(it.a, it.b); break;
+  }
+}
+
+// Single-item entries are called on each item in turn.
+template <class Item>
+void call(const PreparedStencil& ps, Entry e, const std::vector<Item>& items) {
+  if (e == Entry::AdvanceBatch) {
+    ps.advance_batch(items, 1);
+    return;
+  }
+  for (const Item& it : items) call_one(ps, e, it);
+}
+
+// Three disjoint, randomly filled items shaped for the d-D preset extents
+// below; 1-D items carry a source array when `with_k`.
+template <class G, class Item>
+struct ItemSet {
+  std::vector<std::unique_ptr<G>> grids;
+  std::vector<FieldView1D> k;  // stable storage the 1-D items point into
+  std::vector<Item> items;
+  std::unique_ptr<G> before;   // item 0's `a`, copied before a bad batch
+};
+
+ItemSet<Grid1D, TileBatch1D> make_items1(int h, bool with_k) {
+  ItemSet<Grid1D, TileBatch1D> s;
+  s.k.reserve(3);
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      s.grids.push_back(std::make_unique<Grid1D>(256, h));
+      fill_random(*s.grids.back(), 100 + 3 * i + j);
+    }
+    Grid1D& a = *s.grids[3 * i];
+    Grid1D& b = *s.grids[3 * i + 1];
+    copy(a, b);
+    s.k.push_back(s.grids[3 * i + 2]->view());
+    s.items.push_back({a.view(), b.view(), with_k ? &s.k.back() : nullptr});
+  }
+  s.before = std::make_unique<Grid1D>(256, h);
+  return s;
+}
+
+ItemSet<Grid2D, TileBatch2D> make_items2(int h) {
+  ItemSet<Grid2D, TileBatch2D> s;
+  for (int i = 0; i < 3; ++i) {
+    s.grids.push_back(std::make_unique<Grid2D>(48, 64, h));
+    s.grids.push_back(std::make_unique<Grid2D>(48, 64, h));
+    fill_random(*s.grids[2 * i], 200 + i);
+    copy(*s.grids[2 * i], *s.grids[2 * i + 1]);
+    s.items.push_back({s.grids[2 * i]->view(), s.grids[2 * i + 1]->view()});
+  }
+  s.before = std::make_unique<Grid2D>(48, 64, h);
+  return s;
+}
+
+ItemSet<Grid3D, TileBatch3D> make_items3(int h) {
+  ItemSet<Grid3D, TileBatch3D> s;
+  for (int i = 0; i < 3; ++i) {
+    s.grids.push_back(std::make_unique<Grid3D>(16, 16, 32, h));
+    s.grids.push_back(std::make_unique<Grid3D>(16, 16, 32, h));
+    fill_random(*s.grids[2 * i], 300 + i);
+    copy(*s.grids[2 * i], *s.grids[2 * i + 1]);
+    s.items.push_back({s.grids[2 * i]->view(), s.grids[2 * i + 1]->view()});
+  }
+  s.before = std::make_unique<Grid3D>(16, 16, 32, h);
+  return s;
+}
+
+// Runs the dimension-independent rows of the table for one item set:
+// `ps` is the handle the items were shaped for, `other` one prepared for
+// another dimensionality.
+template <class G, class Item>
+void expect_per_call_errors(const PreparedStencil& ps,
+                            const PreparedStencil& other,
+                            ItemSet<G, Item>& set) {
+  for (Entry e : kEntries) {
+    SCOPED_TRACE(entry_name(e));
+    EXPECT_THROW(call(PreparedStencil{}, e, set.items),
+                 std::invalid_argument);
+    EXPECT_THROW(call(other, e, set.items), std::invalid_argument);
+    // Item 1 aliases its ping-pong pair; items 0 and 2 are valid.
+    std::vector<Item> bad = set.items;
+    bad[1].b = bad[1].a;
+    copy(*set.grids.front(), *set.before);
+    EXPECT_THROW(call(ps, e, bad), std::invalid_argument);
+    // A batch with a bad item advances none of its items.
+    if (e == Entry::AdvanceBatch)
+      EXPECT_EQ(max_abs_diff(*set.grids.front(), *set.before), 0.0);
+  }
+}
+
+TEST(Engine, PerCallErrorPathsThrowInEveryDimension) {
+  Engine& eng = Engine::instance();
+  ExecOptions opts;
+  opts.tsteps = 4;
+  const PreparedStencil p1 = eng.prepare(Preset::Heat1D, Extents{256}, opts);
+  const PreparedStencil apop = eng.prepare(Preset::Apop, Extents{256}, opts);
+  const PreparedStencil p2 =
+      eng.prepare(Preset::Heat2D, Extents{64, 48}, opts);
+  const PreparedStencil p3 =
+      eng.prepare(Preset::Heat3D, Extents{32, 16, 16}, opts);
+
+  {
+    SCOPED_TRACE("1-D");
+    auto plain = make_items1(std::max(p1.halo(), apop.halo()), false);
+    auto sourced = make_items1(std::max(p1.halo(), apop.halo()), true);
+    expect_per_call_errors(p1, p2, plain);
+    expect_per_call_errors(apop, p3, sourced);
+    for (Entry e : kEntries) {
+      SCOPED_TRACE(entry_name(e));
+      // A source view on a source-free stencil, and none for APOP.
+      EXPECT_THROW(call(p1, e, sourced.items), std::invalid_argument);
+      EXPECT_THROW(call(apop, e, plain.items), std::invalid_argument);
+    }
+  }
+  {
+    SCOPED_TRACE("2-D");
+    auto set = make_items2(p2.halo());
+    expect_per_call_errors(p2, p3, set);
+  }
+  {
+    SCOPED_TRACE("3-D");
+    auto set = make_items3(p3.halo());
+    expect_per_call_errors(p3, p1, set);
+  }
 }
 
 TEST(Engine, RejectsPartiallyOverlappingViews) {
@@ -820,9 +988,7 @@ TEST(TuneBuckets, NearbyShapesHitExactShapesWin) {
 }
 
 // ---------------------------------------------------------------------------
-// Validation toggle: SF_VALIDATE=0 / ExecOptions::validate drops the
-// per-call view checks (the HaloPolicy::Clean streaming fast path) —
-// invalid views must still throw by default.
+// Per-call validation always runs: invalid views throw.
 // ---------------------------------------------------------------------------
 
 TEST(Engine, InvalidViewsThrowByDefault) {
@@ -830,59 +996,10 @@ TEST(Engine, InvalidViewsThrowByDefault) {
   opts.tsteps = 6;
   PreparedStencil ps =
       Engine::instance().prepare(Preset::Heat2D, Extents{64, 48}, opts);
-  EXPECT_TRUE(ps.validates());
   const int h = ps.halo();
   Grid2D a(48, 64, h), b(48, 64, h), wrong(24, 24, h);
   EXPECT_THROW(ps.run(a.view(), wrong.view(), 1), std::invalid_argument);
   EXPECT_THROW(ps.run(a.view(), a.view(), 1), std::invalid_argument);
-}
-
-TEST(Engine, ValidationOffMatchesValidatedRunBitwise) {
-  ExecOptions opts;
-  opts.tsteps = 4;
-  opts.halo_policy = HaloPolicy::Clean;
-  PreparedStencil checked =
-      Engine::instance().prepare(Preset::Heat2D, Extents{80, 64}, opts);
-  opts.validate = false;
-  PreparedStencil unchecked =
-      Engine::instance().prepare(Preset::Heat2D, Extents{80, 64}, opts);
-  EXPECT_TRUE(checked.validates());
-  EXPECT_FALSE(unchecked.validates());
-  // The flag is part of the effective request: distinct prepared states.
-  EXPECT_NE(&checked.plan(), &unchecked.plan());
-
-  const int h = checked.halo();
-  Grid2D va(64, 80, h), vb(64, 80, h), ua(64, 80, h), ub(64, 80, h);
-  fill_random(va, 23);
-  copy(va, vb);
-  copy(va, ua);
-  copy(va, ub);
-  for (int t = 0; t < 5; ++t) {
-    checked.advance(va.view(), vb.view(), 1);
-    unchecked.advance(ua.view(), ub.view(), 1);
-  }
-  EXPECT_EQ(max_abs_diff(va, ua), 0.0);
-}
-
-TEST(Engine, EnvValidateZeroDisablesChecks) {
-  ASSERT_EQ(setenv("SF_VALIDATE", "0", 1), 0);
-  ExecOptions opts;
-  opts.tsteps = 6;
-  PreparedStencil ps =
-      Engine::instance().prepare(Preset::Heat2D, Extents{64, 48}, opts);
-  EXPECT_FALSE(ps.validates());
-  unsetenv("SF_VALIDATE");
-  // Cleared env: a fresh prepare validates again (and is not the cached
-  // unvalidated preparation).
-  PreparedStencil again =
-      Engine::instance().prepare(Preset::Heat2D, Extents{64, 48}, opts);
-  EXPECT_TRUE(again.validates());
-  // SF_VALIDATE=1 (or anything but "0") keeps validation on.
-  ASSERT_EQ(setenv("SF_VALIDATE", "1", 1), 0);
-  PreparedStencil on =
-      Engine::instance().prepare(Preset::Heat2D, Extents{64, 48}, opts);
-  EXPECT_TRUE(on.validates());
-  unsetenv("SF_VALIDATE");
 }
 
 TEST(TuneBuckets, BucketedLookupsNeverCrossKernelOrRadiusKeys) {
