@@ -123,10 +123,13 @@ struct PreparedStencil::State {
 
   // Per-dimension leaves of that path.
   template <class Item>
-  void check(const Item& it) const;
-  void check_shape(const char* which, const FieldView1D& v) const;
-  void check_shape(const char* which, const FieldView2D& v) const;
-  void check_shape(const char* which, const FieldView3D& v) const;
+  void check(const char* entry, const Item& it) const;
+  void check_shape(const char* entry, const char* which,
+                   const FieldView1D& v) const;
+  void check_shape(const char* entry, const char* which,
+                   const FieldView2D& v) const;
+  void check_shape(const char* entry, const char* which,
+                   const FieldView3D& v) const;
   const Pattern1D* source() const;
   void run_kernel(const TileBatch1D& it, int nsteps) const;
   void run_kernel(const TileBatch2D& it, int nsteps) const;
@@ -164,9 +167,12 @@ bool aligned64(const double* p) {
   return (reinterpret_cast<std::uintptr_t>(p) & 63u) == 0;
 }
 
-[[noreturn]] void bad_view(const char* which, const std::string& why) {
-  throw std::invalid_argument(std::string("PreparedStencil::run: view '") +
-                              which + "' " + why);
+// `entry` names the public entry point that was called (run, advance,
+// validate_views, advance_batch), so the message says where it came from.
+[[noreturn]] void bad_view(const char* entry, const char* which,
+                           const std::string& why) {
+  throw std::invalid_argument(std::string("PreparedStencil::") + entry +
+                              ": view '" + which + "' " + why);
 }
 
 // `accept` is the resident layout this preparation admits beyond Natural
@@ -176,12 +182,12 @@ bool aligned64(const double* p) {
 // transforms permute differently per SIMD width, so a W=4-resident buffer
 // handed to a W=8 kernel would be silently misread, never detectably).
 template <class View>
-void check_common(const char* which, const View& v, int need_halo,
-                  Layout accept, int want_width) {
-  if (!v.valid()) bad_view(which, "is empty (default-constructed)");
+void check_common(const char* entry, const char* which, const View& v,
+                  int need_halo, Layout accept, int want_width) {
+  if (!v.valid()) bad_view(entry, which, "is empty (default-constructed)");
   const Layout layout = v.layout();
   if (layout != Layout::Natural && layout != accept)
-    bad_view(which,
+    bad_view(entry, which,
              std::string("is tagged ") + layout_name(layout) +
                  "; this preparation accepts " +
                  (accept == Layout::Natural
@@ -198,26 +204,26 @@ void check_common(const char* which, const View& v, int need_halo,
        << want_width
        << "; transform via to_resident_layout on this handle (hand-tagged "
           "views must record the width: with_layout(layout, width))";
-    bad_view(which, os.str());
+    bad_view(entry, which, os.str());
   }
   if (v.halo() < need_halo) {
     std::ostringstream os;
     os << "has halo " << v.halo() << " but the prepared kernel requires >= "
        << need_halo;
-    bad_view(which, os.str());
+    bad_view(entry, which, os.str());
   }
   if (!aligned64(v.data()))
-    bad_view(which, "interior is not 64-byte aligned (allocate via Grid or "
+    bad_view(entry, which, "interior is not 64-byte aligned (allocate via Grid or "
                     "an aligned allocator)");
 }
 
 // The ping-pong pair must share one layout: the kernels treat both buffers
 // as being in the same storage order throughout the run.
-void check_same_layout(Layout a, Layout b) {
+void check_same_layout(const char* entry, Layout a, Layout b) {
   if (a != b)
-    bad_view("b", std::string("is tagged ") + layout_name(b) +
-                      " but 'a' is tagged " + layout_name(a) +
-                      "; ping-pong buffers must share one layout");
+    bad_view(entry, "b",
+             std::string("is tagged ") + layout_name(b) + " but 'a' is tagged " +
+                 layout_name(a) + "; ping-pong buffers must share one layout");
 }
 
 // Addressable span of a view, as [lo, hi) byte-order addresses. Pointer
@@ -249,54 +255,56 @@ Span span_of(const FieldView3D& v) {
 }
 
 template <class View>
-void check_disjoint(const char* which, const View& v, const char* other_name,
-                    const View& other) {
+void check_disjoint(const char* entry, const char* which, const View& v,
+                    const char* other_name, const View& other) {
   const Span a = span_of(v), b = span_of(other);
   if (a.lo < b.hi && b.lo < a.hi)
-    bad_view(which, std::string("overlaps view '") + other_name +
-                        "'; executors need disjoint buffers");
+    bad_view(entry, which, std::string("overlaps view '") + other_name +
+                               "'; executors need disjoint buffers");
 }
 
-void check_extent(const char* which, const char* axis, long have, long want) {
+void check_extent(const char* entry, const char* which, const char* axis,
+                  long have, long want) {
   if (have != want) {
     std::ostringstream os;
     os << "has " << axis << " = " << have << " but was prepared for "
        << want;
-    bad_view(which, os.str());
+    bad_view(entry, which, os.str());
   }
 }
 
-void check_stride(const char* which, int stride, int nx, int halo) {
+void check_stride(const char* entry, const char* which, int stride, int nx,
+                  int halo) {
   if (stride % 8 != 0) {
     std::ostringstream os;
     os << "has row stride " << stride
        << ", which is not a multiple of 8 doubles";
-    bad_view(which, os.str());
+    bad_view(entry, which, os.str());
   }
   if (stride < nx + 2 * halo) {
     std::ostringstream os;
     os << "has row stride " << stride
        << " < nx + 2*halo = " << nx + 2 * halo
        << "; consecutive rows would alias";
-    bad_view(which, os.str());
+    bad_view(entry, which, os.str());
   }
 }
 
-void check_plane_stride(const char* which, std::size_t plane, int stride,
-                        int ny, int halo) {
+void check_plane_stride(const char* entry, const char* which,
+                        std::size_t plane, int stride, int ny, int halo) {
   const std::size_t need =
       static_cast<std::size_t>(stride) * (ny + 2 * halo);
   if (plane % 8 != 0) {
     std::ostringstream os;
     os << "has plane stride " << plane
        << ", which is not a multiple of 8 doubles";
-    bad_view(which, os.str());
+    bad_view(entry, which, os.str());
   }
   if (plane < need) {
     std::ostringstream os;
     os << "has plane stride " << plane << " < stride * (ny + 2*halo) = "
        << need << "; consecutive planes would alias";
-    bad_view(which, os.str());
+    bad_view(entry, which, os.str());
   }
 }
 
@@ -356,53 +364,59 @@ constexpr int kItemDims<TileBatch3D> = 3;
 // kernel, and the tiled executor for one item or a batch.
 // ---------------------------------------------------------------------------
 
-void PreparedStencil::State::check_shape(const char* which,
+void PreparedStencil::State::check_shape(const char* entry,
+                                         const char* which,
                                          const FieldView1D& v) const {
-  check_extent(which, "n", v.n(), nx);
+  check_extent(entry, which, "n", v.n(), nx);
 }
 
-void PreparedStencil::State::check_shape(const char* which,
+void PreparedStencil::State::check_shape(const char* entry,
+                                         const char* which,
                                          const FieldView2D& v) const {
-  check_extent(which, "nx", v.nx(), nx);
-  check_extent(which, "ny", v.ny(), ny);
-  check_stride(which, v.stride(), v.nx(), v.halo());
+  check_extent(entry, which, "nx", v.nx(), nx);
+  check_extent(entry, which, "ny", v.ny(), ny);
+  check_stride(entry, which, v.stride(), v.nx(), v.halo());
 }
 
-void PreparedStencil::State::check_shape(const char* which,
+void PreparedStencil::State::check_shape(const char* entry,
+                                         const char* which,
                                          const FieldView3D& v) const {
-  check_extent(which, "nx", v.nx(), nx);
-  check_extent(which, "ny", v.ny(), ny);
-  check_extent(which, "nz", v.nz(), nz);
-  check_stride(which, v.stride(), v.nx(), v.halo());
-  check_plane_stride(which, v.plane_stride(), v.stride(), v.ny(), v.halo());
+  check_extent(entry, which, "nx", v.nx(), nx);
+  check_extent(entry, which, "ny", v.ny(), ny);
+  check_extent(entry, which, "nz", v.nz(), nz);
+  check_stride(entry, which, v.stride(), v.nx(), v.halo());
+  check_plane_stride(entry, which, v.plane_stride(), v.stride(), v.ny(),
+                     v.halo());
 }
 
 template <class Item>
-void PreparedStencil::State::check(const Item& it) const {
+void PreparedStencil::State::check(const char* entry, const Item& it) const {
   const int width = kernel->width;
-  check_common("a", it.a, halo, accept, width);
-  check_common("b", it.b, halo, accept, width);
-  check_same_layout(it.a.layout(), it.b.layout());
-  check_shape("a", it.a);
-  check_shape("b", it.b);
-  check_disjoint("b", it.b, "a", it.a);
+  check_common(entry, "a", it.a, halo, accept, width);
+  check_common(entry, "b", it.b, halo, accept, width);
+  check_same_layout(entry, it.a.layout(), it.b.layout());
+  check_shape(entry, "a", it.a);
+  check_shape(entry, "b", it.b);
+  check_disjoint(entry, "b", it.b, "a", it.a);
   if constexpr (kItemDims<Item> == 1) {
     if (spec.has_source && it.k == nullptr)
       throw std::invalid_argument(
-          "PreparedStencil::run: this stencil has a source term; use the "
-          "overload taking the source view 'k'");
+          std::string("PreparedStencil::") + entry +
+          ": this stencil has a source term; use the overload taking the "
+          "source view 'k'");
     if (!spec.has_source && it.k != nullptr)
       throw std::invalid_argument(
-          "PreparedStencil::run: source view 'k' passed but the prepared "
-          "stencil has no source term");
+          std::string("PreparedStencil::") + entry +
+          ": source view 'k' passed but the prepared stencil has no source "
+          "term");
     if (it.k != nullptr) {
       // The source array's layout is independent of the pair's: a
       // natural-tagged k is copied+transformed per call, a resident-tagged
       // one is read zero-copy.
-      check_common("k", *it.k, halo, accept, width);
-      check_shape("k", *it.k);
-      check_disjoint("k", *it.k, "a", it.a);
-      check_disjoint("k", *it.k, "b", it.b);
+      check_common(entry, "k", *it.k, halo, accept, width);
+      check_shape(entry, "k", *it.k);
+      check_disjoint(entry, "k", *it.k, "a", it.a);
+      check_disjoint(entry, "k", *it.k, "b", it.b);
     }
   }
 }
@@ -468,7 +482,7 @@ const PreparedStencil::State& PreparedStencil::State::checked(
         "-D");
   // Every item is checked before any is touched: a batch with one bad item
   // leaves all of its fields as they were.
-  for (const Item& it : items) st->check(it);
+  for (const Item& it : items) st->check(entry, it);
   return *st;
 }
 

@@ -17,12 +17,16 @@
 // boundary the folded expansion is invalid (the Dirichlet halo never
 // advances), so a stepwise ring correction overwrites the invalid band,
 // exactly as in the scalar FoldedRunner2D.
-#include <array>
-#include <stdexcept>
-#include <vector>
+//
+// Steps 1-4 are one template over a fold shape (kernels/fold_shape.hpp):
+// plans of a compiled shape run with every source, row offset and term
+// position constant; any other plan runs the same loops over its structure
+// read at run time.
+#include <algorithm>
 
 #include "fold/region.hpp"
 #include "grid/grid_utils.hpp"
+#include "kernels/fold_shape.hpp"
 #include "kernels/registry.hpp"
 #include "kernels/kernels2d_impl.hpp"
 #include "simd/transpose.hpp"
@@ -40,161 +44,136 @@ constexpr int kMaxSrc = 2 * kMaxR2 + 2;  // basis columns + impulse
 
 inline int floor_div_w(int c, int w) { return c >= 0 ? c / w : -((-c - 1) / w) - 1; }
 
-/// Exact 2-step update of rectangle `f2` (which touches the domain shell):
-/// t+1 is computed into a private buffer over f2's r-expansion (clipped to
-/// the domain), then t+2 over f2. Neighbours outside the domain read the
-/// time-invariant halo of `in`.
-void ring_fix_rect_2d(const Pattern2D& p, const FieldView2D& in, const FieldView2D& out,
-                      const Rect& f2, int ny, int nx) {
-  const int r = p.radius();
-  const Rect f1{std::max(f2.y0 - r, 0), std::min(f2.y1 + r, ny),
-                std::max(f2.x0 - r, 0), std::min(f2.x1 + r, nx)};
-  const int fw = f1.x1 - f1.x0;
-  std::vector<double> buf(static_cast<std::size_t>(f1.y1 - f1.y0) * fw);
-  for (int y = f1.y0; y < f1.y1; ++y)
-    for (int x = f1.x0; x < f1.x1; ++x) {
-      double acc = 0;
-      for (const auto& t : p.taps) acc += t.w * in.at(y + t.off[0], x + t.off[1]);
-      buf[static_cast<std::size_t>(y - f1.y0) * fw + (x - f1.x0)] = acc;
-    }
-  for (int y = f2.y0; y < f2.y1; ++y)
-    for (int x = f2.x0; x < f2.x1; ++x) {
-      double acc = 0;
-      for (const auto& t : p.taps) {
-        const int yy = y + t.off[0], xx = x + t.off[1];
-        const bool inside = yy >= f1.y0 && yy < f1.y1 && xx >= f1.x0 && xx < f1.x1;
-        acc += t.w * (inside ? buf[static_cast<std::size_t>(yy - f1.y0) * fw +
-                                   (xx - f1.x0)]
-                             : in.at(yy, xx));
-      }
-      out.at(y, x) = acc;
-    }
-}
+// Compiled 2-D fold shapes: the plans of 2-D Heat and 2D9P at m = 2
+// (docs/ARCHITECTURE.md#fold-shapes says how to add one). Any other plan
+// runs Fold2DDynamic.
+struct Heat2DFold
+    : FoldShape<2, false, BasisMasks<0b00100, 0b01110, 0b11111>, FoldAt<0, -2, 0>,
+                FoldAt<0, 2, 0>, FoldAt<0, -1, 1>, FoldAt<0, 1, 1>, FoldAt<0, 0, 2>> {
+  static constexpr const char* name = "2D-Heat";
+};
+struct Box2D9Fold
+    : FoldShape<2, false, BasisMasks<0b11111>, FoldAt<0, -2, 0>, FoldAt<0, 2, 0>,
+                FoldAt<0, -1, 0>, FoldAt<0, 1, 0>, FoldAt<0, 0, 0>> {
+  static constexpr const char* name = "2D9P";
+};
+using Fold2DShapes = FoldShapes<Heat2DFold, Box2D9Fold>;
+// A column's terms use each source at most once, so nterms <= ncols * nsrc.
+using Fold2DDynamic = DynamicFold<kMaxR2, kMaxSrc, (2 * kMaxR2 + 1) * kMaxSrc>;
 
-}  // namespace
-
-template <int W>
-void folded2d_advance(const Pattern2D& p, const FoldingPlan& plan,
-                      const Pattern2D& lambda, const FieldView2D& in, const FieldView2D& out,
-                      bool reuse, int ry0, int ry1) {
-  const int ny = in.ny(), nx = in.nx();
-  const int r = p.radius();
-  const int R = plan.radius;
-  const int nbasis = static_cast<int>(plan.basis.size());
-  const bool impulse = plan.uses_impulse;
-  const int nsrc = nbasis + (impulse ? 1 : 0);
-  const int nbx = nx / W;
-  const int nxv = nbx * W;
+/// The vector part of folded2d_advance: full W-row bands of [ry0, ry1) over
+/// the aligned columns [0, nx / W * W), for one fold shape.
+template <int W, class Shape>
+void folded2d_bands(const Shape& sh, const FoldingPlan& plan, const FieldView2D& in,
+                    const FieldView2D& out, bool reuse, int ry0, int ry1) {
+  using Set = V<W>[Shape::kSrcCap][W];
+  const int R = sh.R;
+  const int nbx = in.nx() / W;
   const int nyv = ry1 - (ry1 - ry0) % W;  // last full W-row band start bound
+  const FoldValues<W, Shape> val(sh, plan);
 
-  // Broadcast basis weights once.
-  std::array<std::array<V<W>, 2 * kMaxR2 + 1>, kMaxSrc> bw;
-  for (int s = 0; s < nbasis; ++s)
-    for (int dy = 0; dy <= 2 * R; ++dy)
-      bw[static_cast<std::size_t>(s)][static_cast<std::size_t>(dy)] =
-          V<W>::set1(plan.basis[static_cast<std::size_t>(s)][static_cast<std::size_t>(dy)]);
-
-  struct Term {
-    int dx;
-    int src;
-    V<W> w;
-  };
-  std::vector<Term> terms;
-  for (const auto& t : plan.terms)
-    terms.push_back({t.dx, t.basis_id >= 0 ? t.basis_id : nbasis,
-                     V<W>::set1(t.coeff)});
-
-  // Ring buffer: transposed counterpart columns for three consecutive
-  // vector sets. slots[sl][src][j] = column vector (over the band's W rows)
-  // of column j of that set.
-  V<W> slots[3][kMaxSrc][W];
+  // Ring buffer: transposed counterpart columns of three consecutive vector
+  // sets. set[src][j] = column vector (over the band's W rows) of column j.
+  Set slots[3];
 
   for (int y0 = ry0; y0 < nyv; y0 += W) {
-    // Builds the counterpart columns of vector-set `xb` into slot `sl`.
-    auto fill = [&](int xb, int sl) {
+    const double* row0 = in.row(y0);
+    const std::ptrdiff_t stride = in.stride();
+    double* orow[W];
+    for (int i = 0; i < W; ++i) orow[i] = out.row(y0 + i);
+
+    // Builds the counterpart columns of vector-set `xb` into `set`.
+    auto fill = [&](int xb, Set& set) {
       if (xb >= 0 && xb < nbx) {
-        // Load each source row once and fold it into every counterpart
-        // (rows are shared across all basis columns).
-        V<W> vf[kMaxSrc][W];
-        for (int s = 0; s < nsrc; ++s)
-          for (int i = 0; i < W; ++i) vf[s][i] = V<W>::zero();
-        for (int yy = -R; yy < W + R; ++yy) {
-          const V<W> rowv = V<W>::loadu(in.row(y0 + yy) + xb * W);
-          const int ilo = std::max(0, yy - R), ihi = std::min(W - 1, yy + R);
-          for (int i = ilo; i <= ihi; ++i) {
-            const int dy = yy - i;
-            for (int s = 0; s < nbasis; ++s) {
-              if (plan.basis[static_cast<std::size_t>(s)][static_cast<std::size_t>(dy + R)] == 0.0)
-                continue;
-              vf[s][i] = V<W>::fma(
-                  bw[static_cast<std::size_t>(s)][static_cast<std::size_t>(dy + R)], rowv,
-                  vf[s][i]);
-            }
-          }
-          if (impulse && yy >= 0 && yy < W) vf[nbasis][yy] = rowv;
-        }
-        for (int s = 0; s < nsrc; ++s) {
-          simd::transpose(vf[s]);
-          for (int j = 0; j < W; ++j) slots[sl][s][j] = vf[s][j];
-        }
+        const double* base = row0 + static_cast<std::ptrdiff_t>(xb) * W;
+        const auto row = [&](int k) { return base + k * stride; };
+        for_src(sh, [&](auto s) {
+          V<W> vf[W];
+          fold_source<W>(sh, s, val, row, vf);
+          simd::transpose(vf);
+          unroll<W>([&](auto j) { set[s][j] = vf[j]; });
+        });
       } else {
-        // Edge pseudo-set: columns live in the x-halo (or just beyond the
-        // aligned region); build scalar.
-        alignas(64) double tmp[W];
-        for (int s = 0; s < nsrc; ++s)
-          for (int j = 0; j < W; ++j) {
-            const int x = xb * W + j;
-            for (int i = 0; i < W; ++i) {
-              if (impulse && s == nbasis) {
-                tmp[i] = in.at(y0 + i, x);
-              } else {
-                double acc = 0;
-                for (int dy = -R; dy <= R; ++dy)
-                  acc += plan.basis[static_cast<std::size_t>(s)][static_cast<std::size_t>(dy + R)] *
-                         in.at(y0 + i + dy, x);
-                tmp[i] = acc;
-              }
-            }
-            slots[sl][s][j] = V<W>::load(tmp);
-          }
+        // Edge pseudo-set: emit reads only its R columns next to the
+        // aligned region, [-R, 0) or [nxv, nxv + R); build just those.
+        const int j0 = xb < 0 ? W - R : 0;
+        for (int j = j0; j < j0 + R; ++j) {
+          const int x = xb * W + j;
+          fold_edge_column<W>(
+              sh, val, [&](int k) { return in.at(y0 + k, x); },
+              [&](auto s, V<W> v) { set[s][j] = v; });
+        }
       }
     };
 
-    // Emits output vector-set `xb`, with block bb's columns in slot slot_of(bb).
-    auto emit = [&](int xb, auto slot_of) {
+    // Emits output vector-set `xb` from its neighbours' and its own columns.
+    auto emit = [&](int xb, const Set& prev, const Set& cur, const Set& next) {
+      const Set* sets[3] = {&prev, &cur, &next};
       V<W> oc[W];
-      for (int j = 0; j < W; ++j) {
-        V<W> acc = V<W>::zero();
-        for (const Term& t : terms) {
-          const int c = xb * W + j + t.dx;
-          const int bb = floor_div_w(c, W);
-          acc = V<W>::fma(t.w, slots[slot_of(bb)][t.src][c - bb * W], acc);
-        }
-        oc[j] = acc;
-      }
+      unroll<W>([&](auto j) { oc[j] = V<W>::zero(); });
+      // Term by term over W accumulators: one coefficient live at a time.
+      for_term(sh, [&](auto t) {
+        const FoldTermPos tp = sh.term(t);
+        const V<W> w = val.cw[t];
+        unroll<W>([&](auto j) {
+          const int c = j + tp.dx;
+          const int k = floor_div_w(c, W);  // -1, 0 or 1: prev, cur, next
+          oc[j] = V<W>::fma(w, (*sets[k + 1])[tp.src][c - k * W], oc[j]);
+        });
+      });
       simd::transpose(oc);
-      for (int i = 0; i < W; ++i) oc[i].store(out.row(y0 + i) + xb * W);
+      for (int i = 0; i < W; ++i) oc[i].store(orow[i] + xb * W);
     };
 
     if (reuse) {
       // Pipeline: each vector set's counterparts are folded and transposed
       // exactly once; neighbours come from the ring buffer.
-      fill(-1, 0);
-      fill(0, 1);
+      Set* prev = &slots[0];
+      Set* cur = &slots[1];
+      Set* next = &slots[2];
+      fill(-1, *prev);
+      fill(0, *cur);
       for (int xb = 0; xb < nbx; ++xb) {
-        fill(xb + 1, (xb + 2) % 3);
-        emit(xb, [](int bb) { return (bb + 1) % 3; });
+        fill(xb + 1, *next);
+        emit(xb, *prev, *cur, *next);
+        Set* const done = prev;
+        prev = cur;
+        cur = next;
+        next = done;
       }
     } else {
       // Ablation: recompute all three neighbouring sets per output set.
       for (int xb = 0; xb < nbx; ++xb) {
-        fill(xb - 1, 0);
-        fill(xb, 1);
-        fill(xb + 1, 2);
-        emit(xb, [&](int bb) { return bb - xb + 1; });
+        fill(xb - 1, slots[0]);
+        fill(xb, slots[1]);
+        fill(xb + 1, slots[2]);
+        emit(xb, slots[0], slots[1], slots[2]);
       }
     }
   }
+}
+
+}  // namespace
+
+const char* folded2d_shape(const FoldingPlan& plan) {
+  const char* name = nullptr;
+  with_fold_shape<Fold2DDynamic>(Fold2DShapes{}, plan, FoldDispatch::Match,
+                                 [&](const auto& sh) { name = sh.name; });
+  return name;
+}
+
+template <int W>
+void folded2d_advance(const Pattern2D& p, const FoldingPlan& plan,
+                      const Pattern2D& lambda, const FieldView2D& in, const FieldView2D& out,
+                      bool reuse, int ry0, int ry1, FoldDispatch dispatch) {
+  const int ny = in.ny(), nx = in.nx();
+  const int r = p.radius();
+  const int nxv = nx / W * W;
+  const int nyv = ry1 - (ry1 - ry0) % W;
+
+  with_fold_shape<Fold2DDynamic>(Fold2DShapes{}, plan, dispatch, [&](const auto& sh) {
+    folded2d_bands<W>(sh, plan, in, out, reuse, ry0, ry1);
+  });
 
   // Alignment tails: scalar application of the folding matrix.
   if (nxv < nx) apply_pattern(lambda, in, out, ry0, ry1, nxv, nx);
@@ -206,13 +185,14 @@ void folded2d_advance(const Pattern2D& p, const FoldingPlan& plan,
   // private t+1 buffer over its r-expansion, so concurrent tile updates
   // never share scratch.
   if (r > 0) {
-    std::vector<Rect> f2;  // shell(r) ∩ rows [ry0, ry1)
-    f2.push_back({ry0, ry1, 0, std::min(r, nx)});
-    if (nx > r) f2.push_back({ry0, ry1, std::max(nx - r, r), nx});
-    if (ry0 < r) f2.push_back({ry0, std::min(r, ry1), 0, nx});
-    if (ry1 > ny - r) f2.push_back({std::max(ny - r, ry0), ry1, 0, nx});
+    // shell(r) ∩ rows [ry0, ry1); a side the range does not touch is empty.
+    const Rect f2[] = {{ry0, ry1, 0, std::min(r, nx)},
+                       {ry0, ry1, std::max(nx - r, r), nx},
+                       {ry0, std::min(r, ry1), 0, nx},
+                       {std::max(ny - r, ry0), ry1, 0, nx}};
     for (const Rect& rc : f2)
-      if (!rc.empty()) ring_fix_rect_2d(p, in, out, rc, ny, nx);
+      if (!rc.empty())
+        ring_fix(p, in, out, Box{0, 1, rc.y0, rc.y1, rc.x0, rc.x1}, 1, ny, nx);
   }
 }
 
@@ -262,10 +242,10 @@ template void run_ours2_2d_noreuse<4>(const Pattern2D&, const FieldView2D&, cons
 template void run_ours2_2d_noreuse<8>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
 template void folded2d_advance<4>(const Pattern2D&, const FoldingPlan&,
                                   const Pattern2D&, const FieldView2D&, const FieldView2D&,
-                                  bool, int, int);
+                                  bool, int, int, FoldDispatch);
 template void folded2d_advance<8>(const Pattern2D&, const FoldingPlan&,
                                   const Pattern2D&, const FieldView2D&, const FieldView2D&,
-                                  bool, int, int);
+                                  bool, int, int, FoldDispatch);
 
 }  // namespace sf::detail
 

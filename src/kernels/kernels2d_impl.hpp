@@ -12,6 +12,7 @@
 
 #include "fold/folding_plan.hpp"
 #include "grid/grid.hpp"
+#include "kernels/fold_shape.hpp"
 #include "stencil/pattern.hpp"
 
 namespace sf::detail {
@@ -53,9 +54,10 @@ void step_rows_dlt2d(const Pattern2D& p, const FieldView2D& in, const FieldView2
 
 /// One folded (m = 2) advance over rows [ry0, ry1), vectorized per the
 /// paper's Fig. 5 pipeline (full grid: ry0 = 0, ry1 = ny). `reuse` toggles
-/// the shifts-reuse ring buffer. Requires plan.radius <= min(W, 4).
-/// Thread-safe across disjoint row ranges (ring corrections use private
-/// buffers).
+/// the shifts-reuse ring buffer. `dispatch` picks the compiled fold shape
+/// matching `plan` (default) or forces the dynamic one; both give the same
+/// bits. Requires plan.radius <= min(W, 4). Thread-safe across disjoint row
+/// ranges (ring corrections use private buffers).
 ///
 /// Correctness over a partial row range relies on the caller guaranteeing
 /// (as split tiling's wedge slopes do) that `in` holds time-t values on
@@ -63,6 +65,11 @@ void step_rows_dlt2d(const Pattern2D& p, const FieldView2D& in, const FieldView2
 template <int W>
 void folded2d_advance(const Pattern2D& p, const FoldingPlan& plan,
                       const Pattern2D& lambda, const FieldView2D& in, const FieldView2D& out,
-                      bool reuse, int ry0, int ry1);
+                      bool reuse, int ry0, int ry1,
+                      FoldDispatch dispatch = FoldDispatch::Match);
+
+/// Name of the compiled 2-D fold shape `plan` runs with ("2D-Heat",
+/// "2D9P"), or nullptr when it runs the dynamic shape.
+const char* folded2d_shape(const FoldingPlan& plan);
 
 }  // namespace sf::detail

@@ -12,6 +12,7 @@
 #include "common/aligned_buffer.hpp"
 #include "fold/folding_plan.hpp"
 #include "grid/grid.hpp"
+#include "kernels/fold_shape.hpp"
 #include "stencil/pattern.hpp"
 
 namespace sf::detail {
@@ -61,9 +62,15 @@ Folded3DWindowShape folded3d_window_shape(const FoldingPlan& plan, int nx,
 /// for the range contract; slope is 2r per super-step). `window` caches
 /// per-plane counterpart columns and must be private to the calling thread
 /// (it is grown to folded3d_window_shape() when it does not already fit).
+/// `dispatch`: see folded2d_advance.
 template <int W>
 void folded3d_advance(const Pattern3D& p, const FoldingPlan& plan,
                       const Pattern3D& lambda, const FieldView3D& in, const FieldView3D& out,
-                      std::vector<AlignedBuffer>& window, int rz0, int rz1);
+                      std::vector<AlignedBuffer>& window, int rz0, int rz1,
+                      FoldDispatch dispatch = FoldDispatch::Match);
+
+/// Name of the compiled 3-D fold shape `plan` runs with ("3D-Heat"), or
+/// nullptr when it runs the dynamic shape.
+const char* folded3d_shape(const FoldingPlan& plan);
 
 }  // namespace sf::detail

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
@@ -181,6 +182,13 @@ struct Server::Impl {
   // Gauge (by delta): the dispatcher's current adaptive drain cap.
   telemetry::Counter t_adaptive;
   telemetry::Histogram t_queue_depth, t_batch_size, t_queue_us, t_exec_us;
+
+  // Batch items of the group being dispatched, one vector per item type.
+  // Owned by the dispatcher thread alone; cleared per group, never freed,
+  // so a steady stream of rounds allocates nothing here.
+  std::tuple<std::vector<TileBatch1D>, std::vector<TileBatch2D>,
+             std::vector<TileBatch3D>>
+      batch_items;
 
   std::thread dispatcher;
 
@@ -372,8 +380,8 @@ struct Server::Impl {
       std::visit(
           [&](const auto& lead_item) {
             using Item = std::decay_t<decltype(lead_item)>;
-            std::vector<Item> items;
-            items.reserve(group.size());
+            std::vector<Item>& items = std::get<std::vector<Item>>(batch_items);
+            items.clear();
             for (const Request* r : group)
               items.push_back(std::get<Item>(r->item));
             lead.ps.advance_batch(items, lead.nsteps);

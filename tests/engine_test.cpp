@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -479,6 +481,21 @@ ItemSet<Grid3D, TileBatch3D> make_items3(int h) {
   return s;
 }
 
+// Expects `f` to throw std::invalid_argument whose message starts with
+// "PreparedStencil::<entry>:", the entry point the caller used.
+template <class F>
+void expect_named_error(Entry e, F&& f) {
+  const std::string prefix =
+      std::string("PreparedStencil::") + entry_name(e) + ":";
+  try {
+    f();
+    ADD_FAILURE() << "no exception; expected one prefixed " << prefix;
+  } catch (const std::invalid_argument& ex) {
+    EXPECT_EQ(std::string(ex.what()).rfind(prefix, 0), 0u)
+        << "message: " << ex.what();
+  }
+}
+
 // Runs the dimension-independent rows of the table for one item set:
 // `ps` is the handle the items were shaped for, `other` one prepared for
 // another dimensionality.
@@ -495,7 +512,7 @@ void expect_per_call_errors(const PreparedStencil& ps,
     std::vector<Item> bad = set.items;
     bad[1].b = bad[1].a;
     copy(*set.grids.front(), *set.before);
-    EXPECT_THROW(call(ps, e, bad), std::invalid_argument);
+    expect_named_error(e, [&] { call(ps, e, bad); });
     // A batch with a bad item advances none of its items.
     if (e == Entry::AdvanceBatch)
       EXPECT_EQ(max_abs_diff(*set.grids.front(), *set.before), 0.0);
@@ -522,8 +539,8 @@ TEST(Engine, PerCallErrorPathsThrowInEveryDimension) {
     for (Entry e : kEntries) {
       SCOPED_TRACE(entry_name(e));
       // A source view on a source-free stencil, and none for APOP.
-      EXPECT_THROW(call(p1, e, sourced.items), std::invalid_argument);
-      EXPECT_THROW(call(apop, e, plain.items), std::invalid_argument);
+      expect_named_error(e, [&] { call(p1, e, sourced.items); });
+      expect_named_error(e, [&] { call(apop, e, plain.items); });
     }
   }
   {

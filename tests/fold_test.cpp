@@ -2,6 +2,11 @@
 // and the boundary-corrected folded executors.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "fold/cost_model.hpp"
 #include "fold/folded_ref.hpp"
 #include "fold/folding_plan.hpp"
@@ -187,6 +192,40 @@ TEST(Region, FrameBoxesCoverExactly) {
         EXPECT_EQ(cnt[(static_cast<std::size_t>(z) * ny + y) * nx + x],
                   in_shell ? 1 : 0);
       }
+}
+
+// ring_row's two loop orders compute the same sum: a long row in one call
+// (taps outermost) equals the same row in short pieces (point at a time) to
+// rounding, and both match the plain sum.
+TEST(Region, RingRowLoopOrdersAgree) {
+  const int gw = 64;
+  std::vector<double> src(3 * gw);
+  for (std::size_t i = 0; i < src.size(); ++i)
+    src[i] = std::sin(0.37 * static_cast<double>(i)) + 1e-3 * static_cast<double>(i);
+  detail::FlatTaps taps;
+  for (const auto& [off, w] : {std::pair<int, double>{-gw, 0.13}, {-1, 0.21},
+                               {0, -0.4}, {1, 0.29}, {gw, 0.11}}) {
+    taps.off.push_back(off);
+    taps.w.push_back(w);
+  }
+  const double* row = src.data() + gw + 1;
+  const int n = 3 * detail::kRingRowShort - 1;
+  ASSERT_LE(n, gw - 2);
+  std::vector<double> whole(n), pieces(n);
+  detail::ring_row(taps, row, whole.data(), n);
+  const int piece = detail::kRingRowShort - 1;
+  for (int i = 0; i < n; i += piece)
+    detail::ring_row(taps, row + i, pieces.data() + i, std::min(piece, n - i));
+  for (int i = 0; i < n; ++i) {
+    double sum = 0.0, mag = 0.0;
+    for (std::size_t k = 0; k < taps.w.size(); ++k) {
+      sum += taps.w[k] * row[taps.off[k] + i];
+      mag += std::abs(taps.w[k] * row[taps.off[k] + i]);
+    }
+    const double tol = 4 * DBL_EPSILON * mag;
+    EXPECT_NEAR(whole[i], sum, tol) << "i=" << i;
+    EXPECT_NEAR(pieces[i], sum, tol) << "i=" << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
